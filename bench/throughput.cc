@@ -1,27 +1,31 @@
-// Aggregate query throughput of the batch server: N concurrent mobile
-// clients firing a mixed plain-query workload (k-NN / window / range) at
-// one shared R-tree store. Three server configurations are timed over the
-// same query stream:
+// Aggregate query throughput of the serving path: N mobile clients
+// firing a mixed plain-query workload (k-NN / window / range) at one
+// R-tree store, served one query at a time (the poll-loop server has one
+// serving thread). Three configurations are timed over the same query
+// stream:
 //
 //   serial-seed   the pre-NodeView code path (KnnBestFirstLegacy /
-//                 WindowQueryLegacy), one thread — the seed baseline
-//   serial-view   the zero-copy NodeView path, one thread
-//   batch-T       BatchServer with T worker threads over per-worker
-//                 unbuffered pools (every fetch a zero-copy ReadRef)
+//                 WindowQueryLegacy) straight on the tree — the seed
+//                 baseline
+//   serial-view   the zero-copy NodeView path straight on the tree
+//   server        core::Server's plain queries (PlainNnQuery /
+//                 PlainWindowQuery through its SpatialBackend) — the
+//                 surviving serving path, gated as server_qps
 //
 // A second section times the *wire-serving* path (full validity-region
-// answers, encoded) on a clustered client population — many mobile
-// clients concentrated around a few hotspots — with the semantic answer
-// cache off and on, reporting the cache hit rate alongside q/s.
+// answers, encoded, through core::Server's *QueryWireShared) on a
+// clustered client population — many mobile clients concentrated around
+// a few hotspots — with the semantic answer cache off and on, reporting
+// the cache hit rate alongside q/s.
 //
 // Output: an aligned table plus one machine-readable "BENCH {...}" JSON
 // line with queries/second per configuration, the speedups over the
-// serial seed baseline, batch latency percentiles, and the cache
-// section's q/s + hit rate. All rates are min-of-N-rounds (MeasureQps).
+// serial seed baseline, and the cache section's q/s + hit rate. All
+// rates are min-of-N-rounds (MeasureQps).
 //
 // Environment knobs: LBSQ_SCALE scales the dataset (default 100k
-// points, bench_util.h); LBSQ_CLIENTS sets the number of concurrent
-// clients (default 8000; each client contributes one query per round).
+// points, bench_util.h); LBSQ_CLIENTS sets the number of clients
+// (default 8000; each client contributes one query per round).
 
 #include <algorithm>
 #include <chrono>
@@ -31,7 +35,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/batch_server.h"
+#include "core/server.h"
 #include "geometry/rect.h"
 #include "rtree/knn.h"
 #include "rtree/rtree.h"
@@ -54,10 +58,23 @@ size_t NumClients() {
 
 // NN-heavy mix, matching the paper's workload emphasis (nearest-neighbor
 // queries are the primary location-based query class).
+struct NnQuery {
+  geo::Point q;
+  size_t k;
+};
+struct WindowQuery {
+  geo::Point focus;
+  double hx, hy;
+};
+struct RangeQuery {
+  geo::Point focus;
+  double radius;
+};
+
 struct Workload {
-  std::vector<core::BatchServer::NnQuery> nn;        // 60% of clients, k=10
-  std::vector<core::BatchServer::WindowQuery> window;  // 25%
-  std::vector<core::BatchServer::RangeQuery> range;    // 15%
+  std::vector<NnQuery> nn;          // 60% of clients, k=10
+  std::vector<WindowQuery> window;  // 25%
+  std::vector<RangeQuery> range;    // 15%
   size_t total() const { return nn.size() + window.size() + range.size(); }
 };
 
@@ -123,7 +140,7 @@ double MeasureQps(size_t queries_per_round, Fn&& round) {
 }
 
 // Every configuration materializes one answer per client (what a server
-// returning results must do), so serial and batch runs do identical work.
+// returning results must do), so every configuration does the same work.
 double SerialQps(bench::Workbench& wb, const Workload& w, bool legacy) {
   rtree::RTree& tree = *wb.tree;
   return MeasureQps(w.total(), [&] {
@@ -159,13 +176,26 @@ double SerialQps(bench::Workbench& wb, const Workload& w, bool legacy) {
   });
 }
 
-double BatchQps(core::BatchServer& server, const Workload& w) {
+// The same plain workload through core::Server, one query at a time.
+double ServerQps(core::Server& server, const Workload& w) {
   return MeasureQps(w.total(), [&] {
-    auto nn = server.PlainNnBatch(w.nn);
+    std::vector<std::vector<rtree::Neighbor>> nn(w.nn.size());
+    for (size_t i = 0; i < w.nn.size(); ++i) {
+      nn[i] = server.PlainNnQuery(w.nn[i].q, w.nn[i].k);
+    }
     asm volatile("" : : "r,m"(nn.data()) : "memory");
-    auto win = server.PlainWindowBatch(w.window);
+    std::vector<std::vector<rtree::DataEntry>> win(w.window.size());
+    for (size_t i = 0; i < w.window.size(); ++i) {
+      win[i] = server.PlainWindowQuery(w.window[i].focus, w.window[i].hx,
+                                       w.window[i].hy);
+    }
     asm volatile("" : : "r,m"(win.data()) : "memory");
-    auto rng = server.PlainRangeBatch(w.range);
+    std::vector<std::vector<rtree::DataEntry>> rng(w.range.size());
+    for (size_t i = 0; i < w.range.size(); ++i) {
+      rng[i] = server.PlainWindowQuery(w.range[i].focus, w.range[i].radius,
+                                       w.range[i].radius);
+      FilterRange(w.range[i].focus, w.range[i].radius, &rng[i]);
+    }
     asm volatile("" : : "r,m"(rng.data()) : "memory");
   });
 }
@@ -199,14 +229,19 @@ Workload MakeClusteredWorkload(const bench::Workbench& wb, size_t clients) {
 // Wire-serving rounds: full validity answers, encoded — the load the
 // semantic cache absorbs. The cache persists across rounds (that is the
 // point: a steady-state server), so the measured rate is the warm rate.
-double WireQps(core::BatchServer& server, const Workload& w) {
+double WireQps(core::Server& server, const Workload& w) {
   return MeasureQps(w.total(), [&] {
-    auto nn = server.NnQueryBatchWire(w.nn);
-    asm volatile("" : : "r,m"(nn.data()) : "memory");
-    auto win = server.WindowQueryBatchWire(w.window);
-    asm volatile("" : : "r,m"(win.data()) : "memory");
-    auto rng = server.RangeQueryBatchWire(w.range);
-    asm volatile("" : : "r,m"(rng.data()) : "memory");
+    size_t failed = 0;
+    for (const NnQuery& q : w.nn) {
+      failed += server.NnQueryWireShared(q.q, q.k).ok() ? 0 : 1;
+    }
+    for (const WindowQuery& q : w.window) {
+      failed += server.WindowQueryWireShared(q.focus, q.hx, q.hy).ok() ? 0 : 1;
+    }
+    for (const RangeQuery& q : w.range) {
+      failed += server.RangeQueryWireShared(q.focus, q.radius).ok() ? 0 : 1;
+    }
+    asm volatile("" : : "r,m"(failed) : "memory");
   });
 }
 
@@ -218,9 +253,9 @@ int main() {
   const size_t clients = NumClients();
   const Workload w = MakeWorkload(wb, clients);
 
-  bench::PrintTitle("Batch query throughput (" + bench::FormatCount(n) +
+  bench::PrintTitle("Serial query throughput (" + bench::FormatCount(n) +
                     " points, " + bench::FormatCount(w.total()) +
-                    " concurrent clients)");
+                    " clients)");
   std::printf("%-14s %12s %10s\n", "configuration", "queries/s", "speedup");
 
   const double seed_qps = SerialQps(wb, w, /*legacy=*/true);
@@ -229,36 +264,15 @@ int main() {
   std::printf("%-14s %12.0f %9.2fx\n", "serial-view", view_qps,
               view_qps / seed_qps);
 
-  const size_t thread_counts[] = {1, 2, 4};
-  double batch_qps[3] = {0.0, 0.0, 0.0};
-  core::BatchPerfStats stats4;
-  for (int i = 0; i < 3; ++i) {
-    core::BatchServerOptions options;
-    options.num_threads = thread_counts[i];
-    core::BatchServer server(wb.disk.get(), wb.tree->meta(),
-                             wb.dataset.universe, options);
-    batch_qps[i] = BatchQps(server, w);
-    char label[32];
-    std::snprintf(label, sizeof(label), "batch-%zu", thread_counts[i]);
-    std::printf("%-14s %12.0f %9.2fx\n", label, batch_qps[i],
-                batch_qps[i] / seed_qps);
-    if (thread_counts[i] == 4) stats4 = server.perf_stats();
-  }
-
-  std::printf(
-      "\nbatch-4 stats: %llu queries, %llu node accesses, "
-      "%llu page accesses, %llu allocations avoided\n"
-      "latency p50 %.1fus  p95 %.1fus  p99 %.1fus  max %.1fus\n",
-      static_cast<unsigned long long>(stats4.queries),
-      static_cast<unsigned long long>(stats4.node_accesses),
-      static_cast<unsigned long long>(stats4.page_accesses),
-      static_cast<unsigned long long>(stats4.allocations_avoided),
-      stats4.p50_us, stats4.p95_us, stats4.p99_us, stats4.max_us);
+  core::Server server(wb.tree.get(), wb.dataset.universe);
+  const double server_qps = ServerQps(server, w);
+  std::printf("%-14s %12.0f %9.2fx\n", "server", server_qps,
+              server_qps / seed_qps);
 
   // -- Wire serving with the semantic answer cache ------------------------
   // Clustered clients, full validity-region answers encoded to wire
-  // bytes; cache off vs on (one worker: on the one-core bench box any
-  // speedup must come from work avoided, not parallelism).
+  // bytes; cache off vs on (on one core any speedup must come from work
+  // avoided, not parallelism).
   const Workload cw = MakeClusteredWorkload(wb, clients);
   bench::PrintTitle("Wire serving, clustered clients (semantic cache)");
   std::printf("%-14s %12s %10s %9s\n", "configuration", "queries/s",
@@ -267,20 +281,18 @@ int main() {
   double wire_qps[2] = {0.0, 0.0};
   double hit_rate = 0.0;
   for (int on = 0; on < 2; ++on) {
-    core::BatchServerOptions options;
-    options.num_threads = 1;
-    options.cache.enabled = on != 0;
-    options.cache.max_entries = 1u << 15;
-    options.cache.max_bytes = 32u << 20;
-    core::BatchServer server(wb.disk.get(), wb.tree->meta(),
-                             wb.dataset.universe, options);
-    wire_qps[on] = WireQps(server, cw);
+    cache::CacheConfig config;
+    config.enabled = on != 0;
+    config.max_entries = 1u << 15;
+    config.max_bytes = 32u << 20;
+    core::Server wire(wb.tree.get(), wb.dataset.universe);
+    wire.EnableCache(config);
+    wire_qps[on] = WireQps(wire, cw);
     if (on != 0) {
-      const core::BatchPerfStats stats = server.perf_stats();
-      hit_rate = stats.cache.lookups == 0
-                     ? 0.0
-                     : static_cast<double>(stats.cache.hits) /
-                           static_cast<double>(stats.cache.lookups);
+      const cache::CacheStats stats = wire.cache_stats();
+      hit_rate = stats.lookups == 0 ? 0.0
+                                    : static_cast<double>(stats.hits) /
+                                          static_cast<double>(stats.lookups);
     }
     std::printf("%-14s %12.0f %9.2fx %8.1f%%\n",
                 on != 0 ? "wire-cache" : "wire-nocache", wire_qps[on],
@@ -292,15 +304,13 @@ int main() {
       json, sizeof(json),
       "{\"name\":\"throughput\",\"points\":%zu,\"clients\":%zu,"
       "\"serial_seed_qps\":%.0f,\"serial_view_qps\":%.0f,"
-      "\"batch1_qps\":%.0f,\"batch2_qps\":%.0f,\"batch4_qps\":%.0f,"
-      "\"view_speedup\":%.3f,\"batch4_speedup\":%.3f,"
-      "\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f,\"max_us\":%.1f,"
+      "\"server_qps\":%.0f,"
+      "\"view_speedup\":%.3f,\"server_speedup\":%.3f,"
       "\"wire_nocache_qps\":%.0f,\"wire_cache_qps\":%.0f,"
       "\"cache_speedup\":%.3f,\"cache_hit_rate\":%.3f}",
-      n, w.total(), seed_qps, view_qps, batch_qps[0], batch_qps[1],
-      batch_qps[2], view_qps / seed_qps, batch_qps[2] / seed_qps,
-      stats4.p50_us, stats4.p95_us, stats4.p99_us, stats4.max_us,
-      wire_qps[0], wire_qps[1], wire_qps[1] / wire_qps[0], hit_rate);
+      n, w.total(), seed_qps, view_qps, server_qps, view_qps / seed_qps,
+      server_qps / seed_qps, wire_qps[0], wire_qps[1],
+      wire_qps[1] / wire_qps[0], hit_rate);
   std::printf("\nBENCH %s\n", json);
   bench::WriteBenchArtifact("throughput", json);
   return 0;

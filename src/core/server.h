@@ -1,136 +1,123 @@
 #ifndef LBSQ_CORE_SERVER_H_
 #define LBSQ_CORE_SERVER_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "cache/semantic_cache.h"
 #include "common/status.h"
 #include "core/nn_validity.h"
 #include "core/range_validity.h"
+#include "core/spatial_backend.h"
 #include "core/window_validity.h"
-#include "core/wire_format.h"
 #include "core/wire_service.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
 #include "rtree/rtree.h"
-#include "storage/page_store.h"
 
 // The server side of the mobile-computing scenario from the paper's
-// introduction: it owns the query engines over one spatial index and
-// serves location-based queries, counting how many it had to process.
-// Mobile clients (mobile_client.h) hit it only when they leave the
-// validity region of a previous answer.
+// introduction: it owns the query engines over one spatial index — any
+// SpatialBackend, a single R*-tree or K fragments behind a
+// partition::FragmentRouter — and serves location-based queries,
+// counting how many it had to process. Mobile clients (mobile_client.h)
+// hit it only when they leave the validity region of a previous answer.
 //
-// The *Checked query variants serve untrusted storage (a checksummed
-// and/or fault-injected page store): instead of trusting every page, they
-// bracket the query with the store's read-error channel, retry transient
-// faults a bounded number of times, and surface anything else as a
-// per-query Status — the process stays up when a page goes bad. The
-// plain variants keep zero overhead for trusted in-memory stores.
+// The *QueryWire methods are the one serving path of the repository:
 //
-// The *QueryWire variants are the full serving path: they return the
-// encoded wire answer (what actually crosses the wireless link) and,
-// when EnableCache() has installed a semantic answer cache, consult it
-// first — a hit returns the already-encoded bytes of a previous answer
-// whose validity region contains the query point, without touching the
-// engines or the page store. The cache tracks dataset mutations
-// automatically: when the tree's update epoch advances, the server
-// replays the tree's update log through the cache's region-scoped
-// InvalidateAt (each insert/delete kills only the entries whose answer
-// it can change), falling back to a full epoch invalidation when the
-// updates cannot be attributed to points (BulkLoad, trimmed log, or
-// config.region_scoped == false).
+//   cache probe -> checked engine run with bounded retry -> encode ->
+//   cache placement;   dataset update -> cache kill.
+//
+//   * Checked run. The engines are bracketed with the page store's
+//     read-error channel: an answer computed while a page read failed is
+//     never returned. Transient faults (kUnavailable) are retried (2
+//     times by default, see set_max_query_retries) with the backend's
+//     buffers dropped in between; anything else (kDataLoss) comes back as
+//     the error, and the process stays up when a page goes bad.
+//   * Cache set. EnableCache installs one semantic answer cache per
+//     backend fragment and, when there is more than one fragment, a
+//     boundary cache. A fresh entry goes to owner(q)'s cache iff its kill
+//     footprint (the update positions that can invalidate it, clipped to
+//     the universe) routes entirely to that fragment, else to the
+//     boundary cache. A lookup probes owner(q) then the boundary cache:
+//     an owned entry's validity region lies inside its kill footprint, so
+//     any point it can serve routes to its owner. Over one tree the set
+//     is a single cache.
+//   * Kill path. An update at p kills, in owner(p)'s cache and the
+//     boundary cache, only the entries whose answer it can change
+//     (region-scoped InvalidateAt). An update outside the universe, or
+//     config.region_scoped == false, epoch-invalidates every cache.
+//     Updates arrive two ways: the backend's update log, replayed before
+//     each wire query (a tree mutated under the server; a gap the log
+//     cannot attribute to points — BulkLoad, trimmed log — also takes the
+//     epoch path), or a subclass routing the update itself and calling
+//     KillCachedAt (partition::PartitionedServer).
+//
+// A cache hit returns the stored bytes of a previous answer whose
+// validity region contains the query point, without touching the
+// engines or the page store.
 
 namespace lbsq::core {
 
 class Server : public WireService {
  public:
-  Server(rtree::RTree* tree, const geo::Rect& universe)
-      : tree_(tree),
-        nn_engine_(tree, universe),
-        window_engine_(tree, universe),
-        range_engine_(tree, universe) {}
+  // Serves one R*-tree (wrapped in an owned RTreeBackend).
+  Server(rtree::RTree* tree, const geo::Rect& universe);
+  // Serves any backend; `backend` must outlive the server.
+  Server(SpatialBackend* backend, const geo::Rect& universe);
+
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
+
+  // -- Engine queries (trusted storage, no cache) ---------------------------
 
   // Location-based k-NN query.
   NnValidityResult NnQuery(const geo::Point& q, size_t k) {
-    ++nn_queries_served_;
+    ++served_[kNn];
     return nn_engine_.Query(q, k);
   }
 
   // Location-based window query (half-extents hx, hy around the focus).
   WindowValidityResult WindowQuery(const geo::Point& focus, double hx,
                                    double hy) {
-    ++window_queries_served_;
+    ++served_[kWindow];
     return window_engine_.Query(focus, hx, hy);
   }
 
   // Location-based range query ("everything within `radius` of me").
   RangeValidityResult RangeQuery(const geo::Point& focus, double radius) {
-    ++range_queries_served_;
+    ++served_[kRange];
     return range_engine_.Query(focus, radius);
-  }
-
-  // Checked variants for untrusted storage: an answer computed while the
-  // page store reported a read failure is never returned. Transient
-  // faults (kUnavailable) are retried up to max_query_retries() times
-  // with the buffer pool purged in between; persistent corruption
-  // (kDataLoss) comes back as the error itself.
-  [[nodiscard]] StatusOr<NnValidityResult> NnQueryChecked(const geo::Point& q, size_t k) {
-    ++nn_queries_served_;
-    return RunChecked<NnValidityResult>(
-        [&] { return nn_engine_.Query(q, k); });
-  }
-
-  [[nodiscard]] StatusOr<WindowValidityResult> WindowQueryChecked(const geo::Point& focus,
-                                                    double hx, double hy) {
-    ++window_queries_served_;
-    return RunChecked<WindowValidityResult>(
-        [&] { return window_engine_.Query(focus, hx, hy); });
-  }
-
-  [[nodiscard]] StatusOr<RangeValidityResult> RangeQueryChecked(const geo::Point& focus,
-                                                  double radius) {
-    ++range_queries_served_;
-    return RunChecked<RangeValidityResult>(
-        [&] { return range_engine_.Query(focus, radius); });
   }
 
   // Conventional queries without validity-region computation — what a
   // pre-validity-region server would run for the naive re-query client.
   std::vector<rtree::Neighbor> PlainNnQuery(const geo::Point& q, size_t k) {
-    ++nn_queries_served_;
-    return rtree::KnnBestFirst(*tree_, q, k);
+    ++served_[kNn];
+    return backend_->Knn(q, k);
   }
 
   std::vector<rtree::DataEntry> PlainWindowQuery(const geo::Point& focus,
                                                  double hx, double hy) {
-    ++window_queries_served_;
+    ++served_[kWindow];
     std::vector<rtree::DataEntry> out;
-    tree_->WindowQuery(geo::Rect::Centered(focus, hx, hy), &out);
+    backend_->WindowQuery(geo::Rect::Centered(focus, hx, hy), &out);
     return out;
   }
 
-  // -- Wire serving path (optionally cache-backed) --------------------------
+  // -- Wire serving path ----------------------------------------------------
 
-  // Installs (or, with config.enabled == false, removes) the semantic
-  // answer cache consulted by the *QueryWire methods. Enabling starts
-  // from an empty cache synced to the tree's current update epoch.
-  void EnableCache(const cache::CacheConfig& config) {
-    cache_.reset();
-    if (config.enabled) {
-      cache_.emplace(universe(), config);
-      cache_data_epoch_ = tree_->update_epoch();
-    }
-  }
-  bool cache_enabled() const { return cache_.has_value(); }
-  cache::CacheStats cache_stats() const {
-    return cache_ ? cache_->stats() : cache::CacheStats{};
-  }
+  // Installs (or, with config.enabled == false, removes) the cache set
+  // the *QueryWire methods consult. Every cache gets the full configured
+  // budget: the fragment caches partition the entry space by ownership,
+  // they do not split one budget. Enabling starts from empty caches
+  // synced to the backend's current update epoch.
+  void EnableCache(const cache::CacheConfig& config);
+  bool cache_enabled() const { return !caches_.empty(); }
+  // Aggregate over every cache of the set.
+  cache::CacheStats cache_stats() const;
   // True iff the last successful *QueryWire call was served from the
   // cache (no engine or page-store work).
   bool last_wire_from_cache() const override { return last_wire_from_cache_; }
@@ -142,188 +129,113 @@ class Server : public WireService {
   // or invalidated while the reply is still in a socket's write queue.
   using WireBytes = cache::CachedBytes;
 
-  // Full serving path for a k-NN query: returns the encoded wire answer.
-  // On a cache hit the stored payload of a previous answer whose
-  // validity region contains `q` is returned verbatim (no copy); on a
-  // miss the checked engine path runs and the fresh answer is cached
-  // under its region.
   [[nodiscard]] StatusOr<WireBytes> NnQueryWireShared(const geo::Point& q,
-                                                      size_t k) override {
-    SyncCacheEpoch();
-    last_wire_from_cache_ = false;
-    WireBytes bytes;
-    if (cache_ && cache_->LookupNnShared(q, k, &bytes)) {
-      ++nn_queries_served_;
-      last_wire_from_cache_ = true;
-      return bytes;
-    }
-    StatusOr<NnValidityResult> result = NnQueryChecked(q, k);
-    if (!result.ok()) return result.status();
-    StatusOr<std::vector<uint8_t>> encoded = wire::EncodeNnResult(*result);
-    if (!encoded.ok()) return encoded.status();
-    WireBytes shared = cache::MakeCachedBytes(std::move(*encoded));
-    if (cache_) {
-      std::vector<geo::Point> answers;
-      answers.reserve(result->answers().size());
-      for (const rtree::Neighbor& n : result->answers()) {
-        answers.push_back(n.entry.point);
-      }
-      std::vector<cache::BisectorConstraint> constraints;
-      constraints.reserve(result->influence_pairs().size());
-      for (const InfluencePair& pair : result->influence_pairs()) {
-        constraints.push_back({pair.displaced.point, pair.incoming.point});
-      }
-      cache_->InsertNn(k, result->universe(), result->region().BoundingBox(),
-                       std::move(answers), std::move(constraints), shared);
-    }
-    return shared;
-  }
-
+                                                      size_t k) override;
   [[nodiscard]] StatusOr<WireBytes> WindowQueryWireShared(
-      const geo::Point& focus, double hx, double hy) override {
-    SyncCacheEpoch();
-    last_wire_from_cache_ = false;
-    WireBytes bytes;
-    if (cache_ && cache_->LookupWindowShared(focus, hx, hy, &bytes)) {
-      ++window_queries_served_;
-      last_wire_from_cache_ = true;
-      return bytes;
-    }
-    StatusOr<WindowValidityResult> result = WindowQueryChecked(focus, hx, hy);
-    if (!result.ok()) return result.status();
-    StatusOr<std::vector<uint8_t>> encoded = wire::EncodeWindowResult(*result);
-    if (!encoded.ok()) return encoded.status();
-    WireBytes shared = cache::MakeCachedBytes(std::move(*encoded));
-    if (cache_) cache_->InsertWindow(hx, hy, result->region(), shared);
-    return shared;
-  }
-
+      const geo::Point& focus, double hx, double hy) override;
   [[nodiscard]] StatusOr<WireBytes> RangeQueryWireShared(
-      const geo::Point& focus, double radius) override {
-    SyncCacheEpoch();
-    last_wire_from_cache_ = false;
-    WireBytes bytes;
-    if (cache_ && cache_->LookupRangeShared(focus, radius, &bytes)) {
-      ++range_queries_served_;
-      last_wire_from_cache_ = true;
-      return bytes;
-    }
-    StatusOr<RangeValidityResult> result = RangeQueryChecked(focus, radius);
-    if (!result.ok()) return result.status();
-    StatusOr<std::vector<uint8_t>> encoded = wire::EncodeRangeResult(*result);
-    if (!encoded.ok()) return encoded.status();
-    WireBytes shared = cache::MakeCachedBytes(std::move(*encoded));
-    if (cache_) cache_->InsertRange(radius, result->region(), shared);
-    return shared;
-  }
+      const geo::Point& focus, double radius) override;
 
   // Owned-buffer variants (copying) for callers that mutate or retain
   // the bytes; the serving layer uses the Shared forms above.
   [[nodiscard]] StatusOr<std::vector<uint8_t>> NnQueryWire(const geo::Point& q,
-                                                           size_t k) {
-    StatusOr<WireBytes> shared = NnQueryWireShared(q, k);
-    if (!shared.ok()) return shared.status();
-    return **shared;
-  }
-
+                                                           size_t k);
   [[nodiscard]] StatusOr<std::vector<uint8_t>> WindowQueryWire(
-      const geo::Point& focus, double hx, double hy) {
-    StatusOr<WireBytes> shared = WindowQueryWireShared(focus, hx, hy);
-    if (!shared.ok()) return shared.status();
-    return **shared;
-  }
-
+      const geo::Point& focus, double hx, double hy);
   [[nodiscard]] StatusOr<std::vector<uint8_t>> RangeQueryWire(
-      const geo::Point& focus, double radius) {
-    StatusOr<WireBytes> shared = RangeQueryWireShared(focus, radius);
-    if (!shared.ok()) return shared.status();
-    return **shared;
-  }
+      const geo::Point& focus, double radius);
 
-  size_t nn_queries_served() const { return nn_queries_served_; }
-  size_t window_queries_served() const { return window_queries_served_; }
-  size_t range_queries_served() const { return range_queries_served_; }
+  // -- Counters -------------------------------------------------------------
+
+  size_t nn_queries_served() const { return served_[kNn]; }
+  size_t window_queries_served() const { return served_[kWindow]; }
+  size_t range_queries_served() const { return served_[kRange]; }
 
   // Checked-path counters and retry budget.
   size_t query_errors() const { return query_errors_; }
   size_t query_retries() const { return query_retries_; }
-  size_t max_query_retries() const { return max_query_retries_; }
   void set_max_query_retries(size_t n) { max_query_retries_ = n; }
 
-  NnValidityEngine& nn_engine() { return nn_engine_; }
-  WindowValidityEngine& window_engine() { return window_engine_; }
-  RangeValidityEngine& range_engine() { return range_engine_; }
+  // Cache-placement and blast-radius telemetry: entries inserted into a
+  // fragment (owner) cache vs. the boundary cache, and entries killed by
+  // updates in each.
+  size_t owner_cache_inserts() const { return owner_cache_inserts_; }
+  size_t boundary_cache_inserts() const { return boundary_cache_inserts_; }
+  size_t owner_cache_kills() const { return owner_cache_kills_; }
+  size_t boundary_cache_kills() const { return boundary_cache_kills_; }
+
   const geo::Rect& universe() const override { return nn_engine_.universe(); }
 
-  ServiceInfo info() const override {
-    ServiceInfo out;
-    out.universe = universe();
-    out.points = tree_->size();
-    out.cache_enabled = cache_enabled();
-    return out;  // fragments empty: single-tree serving
+  // Universe, point count and cache state; `fragments` stays empty (a
+  // sharded subclass reports its fragments).
+  ServiceInfo info() const override;
+
+ protected:
+  // The kill path for one dataset update at `p` (see the header comment).
+  // A subclass that routes updates to the backend itself calls this
+  // after each one.
+  void KillCachedAt(const geo::Point& p, cache::UpdateKind kind);
+
+  // Fragment f's owner cache; nullptr while the cache is off.
+  const cache::SemanticCache* owner_cache(size_t f) const {
+    return caches_.empty() ? nullptr : caches_[f].get();
   }
 
  private:
-  // Catches the cache up with dataset mutations: when the tree's update
-  // epoch has advanced past the cache's synced epoch, replay the tree's
-  // update log through region-scoped invalidation (each update kills
-  // only the entries it can affect). Falls back to the epoch
-  // sledgehammer when region scoping is off or the log cannot attribute
-  // the gap to points (BulkLoad, trimmed log).
-  void SyncCacheEpoch() {
-    if (!cache_) return;
-    const uint64_t tree_epoch = tree_->update_epoch();
-    if (tree_epoch == cache_data_epoch_) return;
-    bool scoped = false;
-    if (cache_->config().region_scoped) {
-      update_scratch_.clear();
-      if (tree_->CopyUpdatesSince(cache_data_epoch_, &update_scratch_)) {
-        for (const rtree::UpdateRecord& u : update_scratch_) {
-          cache_->InvalidateAt(u.point, u.kind == rtree::UpdateKind::kInsert
-                                            ? cache::UpdateKind::kInsert
-                                            : cache::UpdateKind::kDelete);
-        }
-        scoped = true;
-      }
-    }
-    if (!scoped) cache_->Invalidate();
-    cache_data_epoch_ = tree_epoch;
-  }
+  enum Kind : size_t { kNn, kWindow, kRange };
+  // The three query kinds as Serve sees them (server.cc).
+  struct NnRequest;
+  struct WindowRequest;
+  struct RangeRequest;
 
+  // The one wire body: probe, checked run, encode, place.
+  template <typename Request>
+  StatusOr<WireBytes> Serve(const Request& request);
+
+  // Probes owner(p)'s cache, then the boundary cache.
+  template <typename Request>
+  bool Probe(const Request& request, WireBytes* out);
+
+  // Inserts a fresh entry into owner(q)'s cache iff its kill footprint
+  // (computed only when there is a boundary cache to choose) routes
+  // entirely to that fragment, else into the boundary cache.
+  template <typename FootprintFn, typename InsertFn>
+  void Place(const geo::Point& q, const FootprintFn& footprint,
+             const InsertFn& insert);
+
+  // Runs `fn` bracketed by the read-error channel, retrying transient
+  // faults with the backend's buffers dropped.
   template <typename Result, typename Fn>
-  StatusOr<Result> RunChecked(const Fn& fn) {
-    for (size_t attempt = 0;; ++attempt) {
-      storage::PageStore::ClearReadError();
-      Result result = fn();
-      Status error = storage::PageStore::TakeReadError();
-      if (error.ok()) return result;
-      // A failed fetch may have parked a substituted zero page in the
-      // buffer pool; purge it so neither the retry nor a later query
-      // silently serves it as a cache hit.
-      tree_->buffer().Clear();
-      if (!IsRetryable(error) || attempt >= max_query_retries_) {
-        ++query_errors_;
-        return error;
-      }
-      ++query_retries_;
-    }
-  }
+  StatusOr<Result> RunChecked(const Fn& fn);
 
-  rtree::RTree* tree_;
+  // Replays the backend's update log into the kill path when its epoch
+  // advanced past the caches'.
+  void SyncCacheEpoch();
+
+  // Epoch-invalidates every cache of the set.
+  void InvalidateAllCaches();
+
+  std::unique_ptr<RTreeBackend> owned_backend_;  // set by the tree ctor
+  SpatialBackend* backend_;
   NnValidityEngine nn_engine_;
   WindowValidityEngine window_engine_;
   RangeValidityEngine range_engine_;
-  size_t nn_queries_served_ = 0;
-  size_t window_queries_served_ = 0;
-  size_t range_queries_served_ = 0;
+
+  std::array<size_t, 3> served_ = {0, 0, 0};
   size_t query_errors_ = 0;
   size_t query_retries_ = 0;
   size_t max_query_retries_ = 2;
 
-  // Semantic answer cache for the wire path (absent = disabled).
-  std::optional<cache::SemanticCache> cache_;
+  // The cache set: caches_[f] is fragment f's owner cache (empty = cache
+  // off); boundary_cache_ exists iff the backend has several fragments.
+  std::vector<std::unique_ptr<cache::SemanticCache>> caches_;
+  std::unique_ptr<cache::SemanticCache> boundary_cache_;
   uint64_t cache_data_epoch_ = 0;
   bool last_wire_from_cache_ = false;
+  size_t owner_cache_inserts_ = 0;
+  size_t boundary_cache_inserts_ = 0;
+  size_t owner_cache_kills_ = 0;
+  size_t boundary_cache_kills_ = 0;
   // Reused buffer for SyncCacheEpoch's update-log replay.
   std::vector<rtree::UpdateRecord> update_scratch_;
 };

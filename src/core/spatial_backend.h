@@ -40,7 +40,9 @@
 //
 // The backend is also the seam for the checked (untrusted-storage) query
 // path: DropBuffers purges any buffered pages after a read fault so a
-// retry cannot be served a substituted zero page as a hit.
+// retry cannot be served a substituted zero page as a hit. And it tells
+// the serving layer (core::Server) what its answer caches need: the
+// fragment layout that places and kills entries, and the update log.
 
 namespace lbsq::core {
 
@@ -74,6 +76,31 @@ class SpatialBackend {
 
   // Drops every buffered page (checked-path fault recovery).
   virtual void DropBuffers() = 0;
+
+  // -- Fragments (serving-layer cache placement) ----------------------------
+  // The defaults describe one unsharded index. A sharded backend reports
+  // its fragments, the fragment owning each point (where updates at that
+  // point go) and whether a rectangle routes entirely to one fragment
+  // (partition::PartitionLayout::StrictlyOwns).
+  virtual size_t num_fragments() const { return 1; }
+  virtual size_t OwnerOf(const geo::Point& /*p*/) const { return 0; }
+  virtual bool StrictlyOwns(size_t /*fragment*/,
+                            const geo::Rect& /*r*/) const {
+    return true;
+  }
+
+  // -- Update log (serving-layer cache invalidation) ------------------------
+  // An epoch that advances with every mutation made under the backend,
+  // and the points those mutations touched (rtree::RTree::update_epoch /
+  // CopyUpdatesSince semantics). The defaults report no mutations: a
+  // backend whose owner routes updates itself (PartitionedServer) kills
+  // the cache entries as it goes.
+  virtual uint64_t update_epoch() const { return 0; }
+  [[nodiscard]] virtual bool CopyUpdatesSince(
+      uint64_t /*since_epoch*/,
+      std::vector<rtree::UpdateRecord>* /*out*/) const {
+    return false;
+  }
 
   // The canonical entry order of WindowQuery: ascending object id, with
   // (x, y) as a total-order tiebreak for the degenerate duplicate-id
@@ -125,7 +152,11 @@ class RTreeBackend final : public SpatialBackend {
 
   void DropBuffers() override { tree_->buffer().Clear(); }
 
-  rtree::RTree* tree() const { return tree_; }
+  uint64_t update_epoch() const override { return tree_->update_epoch(); }
+  bool CopyUpdatesSince(uint64_t since_epoch,
+                        std::vector<rtree::UpdateRecord>* out) const override {
+    return tree_->CopyUpdatesSince(since_epoch, out);
+  }
 
  private:
   rtree::RTree* tree_;

@@ -12,10 +12,10 @@
 
 // The serving interface the network layer talks to: the three
 // location-based wire queries plus a self-description. Implemented by
-// the single-tree core::Server and by the spatially sharded
-// partition::PartitionedServer — both produce byte-identical answers for
-// the same dataset (see DESIGN.md "Partitioned serving"), so the network
-// layer and every client are agnostic to how the dataset is laid out.
+// core::Server, over one tree or (as partition::PartitionedServer) over
+// K spatial fragments — both produce byte-identical answers for the same
+// dataset (see DESIGN.md "Partitioned serving"), so the network layer
+// and every client are agnostic to how the dataset is laid out.
 
 namespace lbsq::core {
 

@@ -52,11 +52,16 @@ class FragmentRouter final : public core::SpatialBackend {
 
   // -- Routing table --------------------------------------------------------
 
-  size_t num_fragments() const { return trees_.size(); }
+  size_t num_fragments() const override { return trees_.size(); }
   const PartitionLayout& layout() const { return layout_; }
 
   // The fragment owning point p (where inserts/deletes for p go).
-  size_t OwnerOf(const geo::Point& p) const { return layout_.OwnerOf(p); }
+  size_t OwnerOf(const geo::Point& p) const override {
+    return layout_.OwnerOf(p);
+  }
+  bool StrictlyOwns(size_t fragment, const geo::Rect& r) const override {
+    return layout_.StrictlyOwns(fragment, r);
+  }
 
   // Re-reads fragment f's extent and cardinality from its tree into the
   // routing table. Call after mutating fragment f; single mutator only

@@ -2,16 +2,11 @@
 #define LBSQ_PARTITION_PARTITIONED_SERVER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "cache/semantic_cache.h"
-#include "common/status.h"
-#include "core/nn_validity.h"
-#include "core/range_validity.h"
-#include "core/window_validity.h"
+#include "core/server.h"
 #include "core/wire_service.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
@@ -21,25 +16,19 @@
 #include "storage/page_manager.h"
 
 // Partitioned serving: the dataset is sharded into K spatial fragments,
-// each owning its own R*-tree, page store, buffer pool, and semantic
-// answer cache; a FragmentRouter presents them to the validity-region
-// engines as one core::SpatialBackend. Because the router reproduces
-// every query primitive exactly (see fragment_router.h) and the wire
-// encoding is a pure function of the engine result, the bytes this
-// server emits are identical to a single-tree core::Server over the same
-// dataset — the differential test holds them byte-for-byte equal.
+// each owning its own R*-tree, page store and buffer pool, and a
+// FragmentRouter presents them as one core::SpatialBackend. This class
+// only builds the fragments and routes updates; serving is core::Server
+// over the router. Because the router reproduces every query primitive
+// exactly (see fragment_router.h) and the wire encoding is a pure
+// function of the engine result, the bytes it emits are identical to a
+// single-tree core::Server over the same dataset — the differential test
+// holds them byte-for-byte equal.
 //
-// Cache placement is ownership-based. Each fragment cache only holds
-// entries whose *kill footprint* — the closed set of update positions
-// that can invalidate the entry — routes entirely to that fragment
-// (PartitionLayout::StrictlyOwns over the footprint clipped to the
-// universe); everything else goes to a shared boundary cache. A dataset
-// update at p therefore only needs to invalidate owner(p)'s cache plus
-// the boundary cache: K-1 fragment caches are untouched, shrinking the
-// invalidation blast radius from the whole cache to one shard. Lookups
-// probe owner(q) then the boundary cache; an entry's validity region is
-// contained in its kill footprint, so any query point the entry can
-// serve routes to the fragment holding it.
+// The router's fragments are the server's cache set: one owner cache per
+// fragment plus a boundary cache (core/server.h). An update at p goes to
+// owner(p)'s tree and kills entries only in owner(p)'s cache and the
+// boundary cache; the other K-1 fragment caches are untouched.
 
 namespace lbsq::partition {
 
@@ -54,7 +43,28 @@ struct PartitionedServerOptions {
   size_t buffer_capacity = 256;
 };
 
-class PartitionedServer final : public core::WireService {
+namespace internal {
+
+// The fragments and their router, built before the core::Server base
+// class that serves over them (a base-from-member: a base class is
+// constructed before the derived class's own members).
+struct FragmentSet {
+  FragmentSet(std::vector<rtree::DataEntry> entries, const geo::Rect& universe,
+              const PartitionedServerOptions& options);
+
+  // One spatial shard: its page store and tree.
+  struct Fragment {
+    storage::PageManager pages;
+    std::unique_ptr<rtree::RTree> tree;
+  };
+  std::vector<std::unique_ptr<Fragment>> fragments_;
+  std::optional<FragmentRouter> router_;
+};
+
+}  // namespace internal
+
+class PartitionedServer final : private internal::FragmentSet,
+                                public core::Server {
  public:
   // Bulk-loads `entries` into the fragments of an STR layout derived
   // from them over `universe`.
@@ -62,109 +72,20 @@ class PartitionedServer final : public core::WireService {
                     const geo::Rect& universe,
                     const PartitionedServerOptions& options = {});
 
-  PartitionedServer(const PartitionedServer&) = delete;
-  PartitionedServer& operator=(const PartitionedServer&) = delete;
-
-  // -- core::WireService ----------------------------------------------------
-
-  const geo::Rect& universe() const override { return universe_; }
-  [[nodiscard]] StatusOr<WireBytes> NnQueryWireShared(const geo::Point& q,
-                                                      size_t k) override;
-  [[nodiscard]] StatusOr<WireBytes> WindowQueryWireShared(
-      const geo::Point& focus, double hx, double hy) override;
-  [[nodiscard]] StatusOr<WireBytes> RangeQueryWireShared(
-      const geo::Point& focus, double radius) override;
-  core::ServiceInfo info() const override;
-
   // -- Updates --------------------------------------------------------------
-  // Routed to the owning fragment; only that fragment's cache (plus the
-  // boundary cache) sees the region-scoped InvalidateAt.
+  // Routed to the owning fragment, then through the server's kill path.
 
   void Insert(const geo::Point& p, rtree::ObjectId id);
   bool Delete(const geo::Point& p, rtree::ObjectId id);
 
-  // -- Semantic cache -------------------------------------------------------
-
-  // Installs (or removes) the per-fragment caches and the boundary
-  // cache. Every cache gets the full configured budget: the fragment
-  // caches partition the entry space by ownership, they do not split one
-  // budget.
-  void EnableCache(const cache::CacheConfig& config);
-  bool cache_enabled() const { return boundary_cache_.has_value(); }
-  // Aggregate over the K fragment caches plus the boundary cache.
-  cache::CacheStats cache_stats() const;
-  bool last_wire_from_cache() const override { return last_wire_from_cache_; }
-
   // -- Introspection --------------------------------------------------------
 
-  size_t num_fragments() const { return fragments_.size(); }
   const PartitionLayout& layout() const { return router_->layout(); }
   FragmentRouter& router() { return *router_; }
-  size_t size() const { return router_->size(); }
 
-  size_t nn_queries_served() const { return nn_queries_served_; }
-  size_t window_queries_served() const { return window_queries_served_; }
-  size_t range_queries_served() const { return range_queries_served_; }
-  size_t query_errors() const { return query_errors_; }
-  size_t query_retries() const { return query_retries_; }
-  void set_max_query_retries(size_t n) { max_query_retries_ = n; }
-
-  // Cache-placement and blast-radius telemetry: entries inserted into a
-  // fragment cache vs. the boundary cache, and entries killed by updates
-  // in each.
-  size_t owner_cache_inserts() const { return owner_cache_inserts_; }
-  size_t boundary_cache_inserts() const { return boundary_cache_inserts_; }
-  size_t owner_cache_kills() const { return owner_cache_kills_; }
-  size_t boundary_cache_kills() const { return boundary_cache_kills_; }
-
- private:
-  // One spatial shard: its page store, tree, and ownership-scoped cache.
-  struct Fragment {
-    storage::PageManager pages;
-    std::unique_ptr<rtree::RTree> tree;
-    std::optional<cache::SemanticCache> cache;
-  };
-
-  // Probes owner(p)'s cache then the boundary cache.
-  template <typename LookupFn>
-  bool LookupShared(const geo::Point& p, const LookupFn& lookup,
-                    WireBytes* out);
-
-  // Inserts the fresh entry into owner(q)'s cache iff its kill footprint
-  // (clipped to the universe) routes entirely to that fragment, else the
-  // boundary cache.
-  template <typename InsertFn>
-  void PlaceEntry(const geo::Point& q, const geo::Rect& kill_footprint,
-                  const InsertFn& insert);
-
-  // Checked-query bracket (mirrors core::Server::RunChecked): retries
-  // transient page-store faults with every fragment's buffers purged.
-  template <typename Result, typename Fn>
-  StatusOr<Result> RunChecked(const Fn& fn);
-
-  geo::Rect universe_;
-  std::vector<std::unique_ptr<Fragment>> fragments_;
-  std::optional<FragmentRouter> router_;
-  // Engines run over the router; they cannot tell it from one tree.
-  std::optional<core::NnValidityEngine> nn_engine_;
-  std::optional<core::WindowValidityEngine> window_engine_;
-  std::optional<core::RangeValidityEngine> range_engine_;
-
-  // Entries whose kill footprint straddles a fragment boundary (and NN
-  // answers smaller than k, whose footprint is the whole universe).
-  std::optional<cache::SemanticCache> boundary_cache_;
-
-  size_t nn_queries_served_ = 0;
-  size_t window_queries_served_ = 0;
-  size_t range_queries_served_ = 0;
-  size_t query_errors_ = 0;
-  size_t query_retries_ = 0;
-  size_t max_query_retries_ = 2;
-  bool last_wire_from_cache_ = false;
-  size_t owner_cache_inserts_ = 0;
-  size_t boundary_cache_inserts_ = 0;
-  size_t owner_cache_kills_ = 0;
-  size_t boundary_cache_kills_ = 0;
+  // Adds one entry per fragment (K == 1 included): its extent, points and
+  // owner-cache traffic.
+  core::ServiceInfo info() const override;
 };
 
 }  // namespace lbsq::partition

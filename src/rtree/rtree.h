@@ -120,13 +120,8 @@ class RTree {
   // skips the per-fetch Node allocation + decode. The view is valid until
   // the next non-const call on this tree or its buffer pool.
   NodeView FetchView(storage::PageId id) {
-    ++view_fetches_;
     return NodeView(buffer_.Fetch(id));
   }
-
-  // Number of fetches served as zero-copy views (i.e. node allocations
-  // avoided relative to the legacy FetchNode path) since construction.
-  uint64_t view_fetches() const { return view_fetches_; }
 
   // Dataset update epoch: bumped by every successful Insert, Delete and
   // BulkLoad on this handle. Serving layers compare it against the epoch
@@ -144,13 +139,6 @@ class RTree {
   [[nodiscard]] bool CopyUpdatesSince(uint64_t since_epoch,
                                       std::vector<UpdateRecord>* out) const;
 
-  // Re-points this read-only handle at the current state of a tree that
-  // another handle over the same store mutated in place (same options):
-  // adopts `meta` and drops every buffered page, which may be stale.
-  // The handle's own counters and update epoch are unchanged. The
-  // mutating handle must flush its buffer first (buffer().FlushAll()).
-  void Reattach(const Meta& meta);
-
   storage::PageId root() const { return root_; }
   Meta meta() const {
     return Meta{root_, root_level_, size_, num_nodes_};
@@ -160,7 +148,7 @@ class RTree {
   // Insert expands it; Delete leaves it untouched, so after deletes it
   // may overcover (never undercover — mindist pruning against it stays
   // admissible). Unlike root_mbr() it is free once computed: the first
-  // call on an attached or reattached handle derives it from the root
+  // call on an attached handle derives it from the root
   // node, after which maintenance is incremental. Empty iff size() == 0.
   geo::Rect bounding_box();
   size_t size() const { return size_; }
@@ -238,8 +226,8 @@ class RTree {
   uint16_t root_level_ = 0;
   size_t size_ = 0;
   size_t num_nodes_ = 1;
-  // Maintained by bounding_box(); invalid until first derived (attach /
-  // Reattach leave it unknown, BulkLoad and Insert keep it current).
+  // Maintained by bounding_box(); invalid until first derived (attach
+  // leaves it unknown, BulkLoad and Insert keep it current).
   geo::Rect bbox_ = geo::Rect::Empty();
   bool bbox_valid_ = false;
   // Levels that have already used their one forced reinsert during the
@@ -258,9 +246,6 @@ class RTree {
 
   // Nodes dissolved by Delete's condense step, pending reinsertion.
   std::vector<Node> orphans_;
-
-  // Fetches served through FetchView (see view_fetches()).
-  uint64_t view_fetches_ = 0;
 
   // Successful mutations on this handle (see update_epoch()).
   uint64_t update_epoch_ = 0;

@@ -27,8 +27,8 @@
 // write-back.
 //
 // Concurrency matches the store it wraps: concurrent Read/ReadRef are
-// safe while no thread allocates, frees, or writes (the BatchServer
-// read-only serving phase); the table is only mutated by those calls.
+// safe while no thread allocates, frees, or writes (a read-only serving
+// phase); the table is only mutated by those calls.
 
 namespace lbsq::storage {
 

@@ -34,8 +34,8 @@
 //
 // Faults start *disarmed* so the index can be built cleanly through the
 // stack (checksums stamped); arm() before the serving phase. Decision
-// draws serialize on an internal mutex, so concurrent BatchServer
-// workers are safe (the schedule then follows the cross-thread operation
+// draws serialize on an internal mutex, so concurrent readers on several
+// threads are safe (the schedule then follows the cross-thread operation
 // order).
 
 namespace lbsq::storage {

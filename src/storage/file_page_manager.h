@@ -21,8 +21,8 @@
 //   page 1..          free-list continuation + page payloads
 //
 // Concurrency: Read/Write use pread/pwrite into caller-owned buffers, so
-// concurrent Read calls are safe once the tree is built (BatchServer
-// workers with per-worker buffer pools). ReadRef is NOT thread-safe — it
+// concurrent Read calls are safe once the tree is built (read-only tree
+// handles with their own buffer pools). ReadRef is NOT thread-safe — it
 // shares one scratch page — so concurrent readers must go through a
 // buffer pool with capacity > 0, which copies via Read instead.
 

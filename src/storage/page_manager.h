@@ -42,7 +42,7 @@ class PageManager final : public PageStore {
   // Unlike the base-class contract, the reference stays valid for the
   // lifetime of the manager (page storage is stable), and concurrent
   // ReadRef/Read calls from multiple threads are safe as long as no
-  // thread allocates, frees, or writes (the BatchServer read path).
+  // thread allocates, frees, or writes (a read-only serving phase).
   const Page& ReadRef(PageId id) override;
 
   uint64_t read_count() const override {
@@ -69,9 +69,9 @@ class PageManager final : public PageStore {
   std::vector<std::unique_ptr<Page>> pages_;
   std::vector<PageId> free_list_;
   std::vector<bool> live_;
-  // Atomic so concurrent read-only workers (BatchServer) can count
-  // accesses without a data race; relaxed order suffices — the counters
-  // are read only after the workers join.
+  // Atomic so concurrent read-only threads can count accesses without a
+  // data race; relaxed order suffices — the counters are read only after
+  // the readers join.
   std::atomic<uint64_t> read_count_{0};
   std::atomic<uint64_t> write_count_{0};
 };

@@ -6,8 +6,9 @@ namespace lbsq::storage {
 
 namespace {
 
-// One pending error per thread: with shared-nothing BatchServer workers,
-// "this thread" and "the query currently being served" coincide.
+// One pending error per thread: a serving thread serves one query at a
+// time, so "this thread" and "the query currently being served"
+// coincide.
 thread_local Status t_pending_read_error;
 
 }  // namespace

@@ -56,8 +56,8 @@ class PageStore {
   // query with ClearReadError / TakeReadError and discards (or retries)
   // any answer produced while an error was pending.
   //
-  // The channel is thread-local: BatchServer workers share one store, and
-  // each worker attributes errors to its own in-flight query. Only the
+  // The channel is thread-local: threads sharing one store each
+  // attribute errors to their own in-flight query. Only the
   // first error per query is kept (later failures are usually fallout of
   // the first — e.g. a checksum layer re-flagging a page an injected
   // fault already zeroed).

@@ -1,21 +1,26 @@
 // End-to-end robustness of the serving path over failing storage: the
-// production stacking Checksummed(FaultInjecting(base)) under Server and
-// BatchServer. The contract: a fault fails (at most) the query it
-// touched, transient faults are retried away, and every query the faults
-// did not touch produces answers bit-identical to a clean run.
+// production stacking Checksummed(FaultInjecting(base)) under
+// core::Server's wire path, over one tree and over a FragmentRouter. The
+// contract: a fault fails (at most) the query it touched, transient
+// faults are retried away, every reply is either a Status or bytes
+// identical to a clean run, and a faulted answer is never cached.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache/semantic_cache.h"
 #include "common/status.h"
-#include "core/batch_server.h"
 #include "core/server.h"
 #include "core/wire_format.h"
 #include "geometry/rect.h"
+#include "partition/fragment_router.h"
+#include "partition/str_partition.h"
 #include "rtree/rtree.h"
 #include "storage/checksummed_page_store.h"
 #include "storage/fault_injecting_page_store.h"
@@ -24,7 +29,80 @@
 namespace lbsq {
 namespace {
 
-using core::BatchServer;
+// One wire query of any kind (a range's radius rides in hx).
+struct WireQuery {
+  enum class Kind { kNn, kWindow, kRange };
+  Kind kind = Kind::kNn;
+  geo::Point p;
+  size_t k = 0;
+  double hx = 0.0;
+  double hy = 0.0;
+};
+
+StatusOr<std::vector<uint8_t>> Ask(core::Server& server, const WireQuery& q) {
+  switch (q.kind) {
+    case WireQuery::Kind::kNn: return server.NnQueryWire(q.p, q.k);
+    case WireQuery::Kind::kWindow: return server.WindowQueryWire(q.p, q.hx, q.hy);
+    case WireQuery::Kind::kRange: return server.RangeQueryWire(q.p, q.hx);
+  }
+  return Status::Internal("unknown query kind");
+}
+
+// The query a reply answers — the client's own on a miss, the covering
+// entry's original one on a cache hit — and whether the reply is valid
+// at the client's position.
+WireQuery Answered(const WireQuery& q, const std::vector<uint8_t>& bytes,
+                   bool* valid_at_client) {
+  WireQuery answered = q;
+  switch (q.kind) {
+    case WireQuery::Kind::kNn: {
+      const core::NnValidityResult r = core::wire::DecodeNnResult(bytes).value();
+      answered.p = r.query();
+      *valid_at_client = r.IsValidAt(q.p);
+      break;
+    }
+    case WireQuery::Kind::kWindow: {
+      const core::WindowValidityResult r =
+          core::wire::DecodeWindowResult(bytes).value();
+      answered.p = r.focus();
+      *valid_at_client = r.IsValidAt(q.p);
+      break;
+    }
+    case WireQuery::Kind::kRange: {
+      const core::RangeValidityResult r =
+          core::wire::DecodeRangeResult(bytes).value();
+      answered.p = r.focus();
+      *valid_at_client = r.IsValidAt(q.p);
+      break;
+    }
+  }
+  return answered;
+}
+
+std::vector<rtree::DataEntry> MakeData(size_t n) {
+  std::mt19937 rng(17);
+  std::uniform_real_distribution<double> coord(0.0, 1.0);
+  std::vector<rtree::DataEntry> data;
+  data.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    data.push_back({{coord(rng), coord(rng)}, static_cast<uint32_t>(i)});
+  }
+  return data;
+}
+
+std::vector<WireQuery> MakeNnWorkload(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> coord(0.02, 0.98);
+  std::uniform_int_distribution<size_t> kdist(1, 8);
+  std::vector<WireQuery> queries;
+  for (size_t i = 0; i < n; ++i) {
+    WireQuery q;
+    q.p = {coord(rng), coord(rng)};
+    q.k = kdist(rng);
+    queries.push_back(q);
+  }
+  return queries;
+}
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
@@ -36,28 +114,66 @@ class FaultInjectionTest : public ::testing::Test {
     faulty_ = std::make_unique<storage::FaultInjectingPageStore>(&disk_,
                                                                  options);
     store_ = std::make_unique<storage::ChecksummedPageStore>(faulty_.get());
-    std::mt19937 rng(17);
-    std::uniform_real_distribution<double> coord(0.0, 1.0);
-    std::vector<rtree::DataEntry> data;
-    data.reserve(kPoints);
-    for (size_t i = 0; i < kPoints; ++i) {
-      data.push_back({{coord(rng), coord(rng)}, static_cast<uint32_t>(i)});
-    }
     tree_ = std::make_unique<rtree::RTree>(store_.get(), 64);
-    tree_->BulkLoad(std::move(data));
+    tree_->BulkLoad(MakeData(kPoints));
     tree_->buffer().FlushAll();
   }
 
-  std::vector<BatchServer::NnQuery> MakeNnWorkload(size_t n,
-                                                   uint32_t seed) const {
-    std::mt19937 rng(seed);
-    std::uniform_real_distribution<double> coord(0.02, 0.98);
-    std::uniform_int_distribution<size_t> kdist(1, 8);
-    std::vector<BatchServer::NnQuery> queries;
-    for (size_t i = 0; i < n; ++i) {
-      queries.push_back({{coord(rng), coord(rng)}, kdist(rng)});
+  // Serves `queries` through `server` (cache on) with the faults armed,
+  // then checks every reply with them disarmed: a Status of
+  // `expected_error`, or bytes identical to a clean server's answer to
+  // the query the bytes encode. Only fresh OK answers may have entered
+  // the cache, and replaying the workload afterwards serves clean bytes
+  // only. Returns the number of error replies.
+  size_t ServeUnderFaults(core::Server& server,
+                          const std::vector<WireQuery>& queries,
+                          StatusCode expected_error) {
+    struct Reply {
+      StatusOr<std::vector<uint8_t>> bytes;
+      bool from_cache = false;
+    };
+    std::vector<Reply> replies;
+    faulty_->arm();
+    for (const WireQuery& q : queries) {
+      StatusOr<std::vector<uint8_t>> bytes = Ask(server, q);
+      replies.push_back({std::move(bytes), server.last_wire_from_cache()});
     }
-    return queries;
+    faulty_->disarm();
+    EXPECT_EQ(replies.size(), queries.size());  // every query completed
+
+    core::Server clean(tree_.get(), universe_);
+    size_t errors = 0;
+    size_t fresh = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (!replies[i].bytes.ok()) {
+        ++errors;
+        EXPECT_EQ(replies[i].bytes.status().code(), expected_error)
+            << "query " << i;
+        continue;
+      }
+      if (!replies[i].from_cache) ++fresh;
+      bool valid = false;
+      const WireQuery answered = Answered(queries[i], *replies[i].bytes, &valid);
+      EXPECT_TRUE(valid) << "query " << i;
+      EXPECT_EQ(*replies[i].bytes, Ask(clean, answered).value())
+          << "query " << i;
+    }
+    EXPECT_EQ(server.query_errors(), errors);
+    // A faulted answer is never cached: the cache saw exactly the fresh,
+    // OK answers.
+    const cache::CacheStats stats = server.cache_stats();
+    EXPECT_EQ(stats.inserts + stats.rejected, fresh);
+
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const StatusOr<std::vector<uint8_t>> again = Ask(server, queries[i]);
+      EXPECT_TRUE(again.ok()) << "query " << i;
+      if (!again.ok()) continue;
+      bool valid = false;
+      const WireQuery answered = Answered(queries[i], *again, &valid);
+      EXPECT_TRUE(valid) << "query " << i;
+      EXPECT_EQ(*again, Ask(clean, answered).value()) << "replay " << i;
+    }
+    return errors;
   }
 
   storage::PageManager disk_;
@@ -67,9 +183,9 @@ class FaultInjectionTest : public ::testing::Test {
   geo::Rect universe_{0.0, 0.0, 1.0, 1.0};
 };
 
-// The acceptance scenario: a batch over storage where 10% of page reads
-// fail must (a) complete, (b) surface per-query errors in the result
-// vector and the perf counters, and (c) answer every unaffected query
+// The acceptance scenario: a stream of queries over storage where 10% of
+// page reads fail must (a) complete, (b) surface per-query errors in the
+// replies and the counters, and (c) answer every other query
 // bit-identically to a clean run.
 TEST_F(FaultInjectionTest, BatchCompletesUnderTenPercentReadFaults) {
   storage::FaultInjectingPageStore::Options options;
@@ -77,53 +193,19 @@ TEST_F(FaultInjectionTest, BatchCompletesUnderTenPercentReadFaults) {
   options.read_fault_probability = 0.10;
   BuildStack(options);
 
-  const auto queries = MakeNnWorkload(300, 37);
-  core::BatchServerOptions server_options;
-  server_options.num_threads = 4;
-  // Unbuffered NN traversals touch many pages, so at a 10% per-read
-  // fault rate a single attempt almost always hits a fault; the default
-  // retry budget leaves a measurable chance that *every* query in the
-  // batch exhausts its retries (observed ~1 in 4 runs on a loaded
-  // 1-core host), which is the one outcome the final assertion rejects.
-  // A deeper budget keeps the scenario identical but makes "at least
-  // one query survives" a statistical certainty.
-  server_options.max_query_retries = 6;
-  BatchServer server(store_.get(), tree_->meta(), universe_, server_options);
-
-  // Clean reference run through the same server.
-  const auto clean = server.NnQueryBatchChecked(queries);
-  std::vector<std::vector<uint8_t>> clean_bytes;
-  for (const auto& r : clean) {
-    ASSERT_TRUE(r.ok());
-    clean_bytes.push_back(core::wire::EncodeNnResult(r.value()).value());
-  }
-  server.ResetPerfStats();
-
-  faulty_->arm();
-  const auto faulted = server.NnQueryBatchChecked(queries);
-  faulty_->disarm();
-
-  ASSERT_EQ(faulted.size(), queries.size());  // the batch completed
+  core::Server server(tree_.get(), universe_);
+  server.EnableCache(cache::CacheConfig{});
+  // Every failed attempt drops the buffer pool, so the retry re-reads
+  // from the faulty store; a deeper budget than the default makes "at
+  // least one query survives" a statistical certainty.
+  server.set_max_query_retries(6);
+  const size_t errors = ServeUnderFaults(server, MakeNnWorkload(300, 37),
+                                         StatusCode::kUnavailable);
   EXPECT_GT(faulty_->injected_read_faults(), 0u);
-
-  size_t errors = 0;
-  for (size_t i = 0; i < faulted.size(); ++i) {
-    if (faulted[i].ok()) {
-      // Unaffected (or successfully retried) query: bit-identical answer.
-      EXPECT_EQ(core::wire::EncodeNnResult(faulted[i].value()).value(),
-                clean_bytes[i])
-          << "query " << i;
-    } else {
-      ++errors;
-      EXPECT_EQ(faulted[i].status().code(), StatusCode::kUnavailable);
-    }
-  }
-  const auto stats = server.perf_stats();
-  EXPECT_EQ(stats.query_errors, errors);
   // At a 10% per-read fault rate, multi-page traversals retry often.
-  EXPECT_GT(stats.query_retries, 0u);
+  EXPECT_GT(server.query_retries(), 0u);
   // Retries must rescue a decent share: not every query errors out.
-  EXPECT_LT(errors, faulted.size());
+  EXPECT_LT(errors, 300u);
 }
 
 // Same scenario with silent corruption instead of hard read failures:
@@ -135,36 +217,18 @@ TEST_F(FaultInjectionTest, CorruptionYieldsDataLossNeverWrongAnswers) {
   options.read_corruption_probability = 0.05;
   BuildStack(options);
 
-  const auto queries = MakeNnWorkload(200, 43);
-  core::BatchServerOptions server_options;
-  server_options.num_threads = 4;
-  BatchServer server(store_.get(), tree_->meta(), universe_, server_options);
-
-  const auto clean = server.NnQueryBatchChecked(queries);
-  faulty_->arm();
-  const auto faulted = server.NnQueryBatchChecked(queries);
-  faulty_->disarm();
-
+  core::Server server(tree_.get(), universe_);
+  server.EnableCache(cache::CacheConfig{});
+  const size_t errors = ServeUnderFaults(server, MakeNnWorkload(200, 43),
+                                         StatusCode::kDataLoss);
   EXPECT_GT(faulty_->injected_corruptions(), 0u);
   EXPECT_GT(store_->verification_failures(), 0u);
-  size_t errors = 0;
-  for (size_t i = 0; i < faulted.size(); ++i) {
-    if (!faulted[i].ok()) {
-      ++errors;
-      EXPECT_EQ(faulted[i].status().code(), StatusCode::kDataLoss);
-      continue;
-    }
-    ASSERT_TRUE(clean[i].ok());
-    EXPECT_EQ(core::wire::EncodeNnResult(faulted[i].value()).value(),
-              core::wire::EncodeNnResult(clean[i].value()).value())
-        << "query " << i;
-  }
   EXPECT_GT(errors, 0u);
-  EXPECT_LT(errors, faulted.size());
+  EXPECT_LT(errors, 200u);
 }
 
-// The single-threaded Server's checked path: retries absorb a modest
-// transient fault rate entirely, and the retry counter shows they ran.
+// The checked path without a cache: retries absorb a modest transient
+// fault rate entirely, and the retry counter shows they ran.
 TEST_F(FaultInjectionTest, ServerRetriesAbsorbTransientFaults) {
   storage::FaultInjectingPageStore::Options options;
   options.seed = 53;
@@ -173,23 +237,22 @@ TEST_F(FaultInjectionTest, ServerRetriesAbsorbTransientFaults) {
 
   core::Server server(tree_.get(), universe_);
   server.set_max_query_retries(8);
-  const auto queries = MakeNnWorkload(120, 59);
+  const std::vector<WireQuery> queries = MakeNnWorkload(120, 59);
 
   // Clean reference answers.
   std::vector<std::vector<uint8_t>> clean_bytes;
-  for (const auto& q : queries) {
-    clean_bytes.push_back(
-        core::wire::EncodeNnResult(server.NnQuery(q.q, q.k)).value());
+  for (const WireQuery& q : queries) {
+    clean_bytes.push_back(server.NnQueryWire(q.p, q.k).value());
   }
 
   faulty_->arm();
   size_t ok = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const auto result = server.NnQueryChecked(queries[i].q, queries[i].k);
+    const StatusOr<std::vector<uint8_t>> result =
+        server.NnQueryWire(queries[i].p, queries[i].k);
     if (result.ok()) {
       ++ok;
-      EXPECT_EQ(core::wire::EncodeNnResult(result.value()).value(),
-                clean_bytes[i]);
+      EXPECT_EQ(*result, clean_bytes[i]);
     } else {
       EXPECT_TRUE(IsRetryable(result.status()));
     }
@@ -203,7 +266,7 @@ TEST_F(FaultInjectionTest, ServerRetriesAbsorbTransientFaults) {
   EXPECT_EQ(server.query_errors(), queries.size() - ok);
 }
 
-// Window and range checked batches degrade the same way as NN.
+// Window and range queries degrade the same way as NN.
 TEST_F(FaultInjectionTest, AllQueryKindsDegradeGracefully) {
   storage::FaultInjectingPageStore::Options options;
   options.seed = 61;
@@ -212,39 +275,133 @@ TEST_F(FaultInjectionTest, AllQueryKindsDegradeGracefully) {
 
   std::mt19937 rng(67);
   std::uniform_real_distribution<double> coord(0.05, 0.95);
-  std::vector<BatchServer::WindowQuery> window;
-  std::vector<BatchServer::RangeQuery> range;
+  std::vector<WireQuery> queries;
   for (int i = 0; i < 120; ++i) {
-    window.push_back({{coord(rng), coord(rng)}, 0.01, 0.015});
-    range.push_back({{coord(rng), coord(rng)}, 0.012});
+    WireQuery window;
+    window.kind = WireQuery::Kind::kWindow;
+    window.p = {coord(rng), coord(rng)};
+    window.hx = 0.01;
+    window.hy = 0.015;
+    queries.push_back(window);
+    WireQuery range;
+    range.kind = WireQuery::Kind::kRange;
+    range.p = {coord(rng), coord(rng)};
+    range.hx = 0.012;
+    queries.push_back(range);
   }
 
-  core::BatchServerOptions server_options;
-  server_options.num_threads = 3;
-  BatchServer server(store_.get(), tree_->meta(), universe_, server_options);
-  const auto clean_window = server.WindowQueryBatchChecked(window);
-  const auto clean_range = server.RangeQueryBatchChecked(range);
+  core::Server server(tree_.get(), universe_);
+  server.EnableCache(cache::CacheConfig{});
+  const size_t errors =
+      ServeUnderFaults(server, queries, StatusCode::kUnavailable);
+  EXPECT_GT(faulty_->injected_read_faults(), 0u);
+  EXPECT_LT(errors, queries.size());
+}
 
-  faulty_->arm();
-  const auto faulted_window = server.WindowQueryBatchChecked(window);
-  const auto faulted_range = server.RangeQueryBatchChecked(range);
-  faulty_->disarm();
+// K = 4 fragments, each on its own Checksummed(FaultInjecting(base))
+// stack behind a FragmentRouter. The router's DropBuffers must purge
+// every fragment's pool between retries: transient faults are retried
+// away, and corruption surfaces as kDataLoss, never as a wrong answer.
+class ShardedFaultStack {
+ public:
+  ShardedFaultStack(const std::vector<rtree::DataEntry>& data,
+                    const geo::Rect& universe,
+                    storage::FaultInjectingPageStore::Options options) {
+    partition::PartitionLayout layout(data, universe, 4);
+    std::vector<std::vector<rtree::DataEntry>> buckets =
+        partition::PartitionEntries(layout, data);
+    std::vector<rtree::RTree*> trees;
+    for (size_t f = 0; f < buckets.size(); ++f) {
+      auto shard = std::make_unique<Shard>();
+      options.seed += 1;
+      shard->faulty = std::make_unique<storage::FaultInjectingPageStore>(
+          &shard->disk, options);
+      shard->store =
+          std::make_unique<storage::ChecksummedPageStore>(shard->faulty.get());
+      shard->tree = std::make_unique<rtree::RTree>(shard->store.get(), 16);
+      shard->tree->BulkLoad(std::move(buckets[f]));
+      shard->tree->buffer().FlushAll();
+      trees.push_back(shard->tree.get());
+      shards_.push_back(std::move(shard));
+    }
+    router_.emplace(std::move(trees), std::move(layout));
+  }
 
-  ASSERT_EQ(faulted_window.size(), window.size());
-  ASSERT_EQ(faulted_range.size(), range.size());
-  for (size_t i = 0; i < window.size(); ++i) {
-    if (!faulted_window[i].ok()) continue;
-    ASSERT_TRUE(clean_window[i].ok());
-    EXPECT_EQ(
-        core::wire::EncodeWindowResult(faulted_window[i].value()).value(),
-        core::wire::EncodeWindowResult(clean_window[i].value()).value());
+  core::SpatialBackend* backend() { return &*router_; }
+  void Arm(bool on) {
+    for (const std::unique_ptr<Shard>& s : shards_) {
+      if (on) {
+        s->faulty->arm();
+      } else {
+        s->faulty->disarm();
+      }
+    }
   }
-  for (size_t i = 0; i < range.size(); ++i) {
-    if (!faulted_range[i].ok()) continue;
-    ASSERT_TRUE(clean_range[i].ok());
-    EXPECT_EQ(core::wire::EncodeRangeResult(faulted_range[i].value()).value(),
-              core::wire::EncodeRangeResult(clean_range[i].value()).value());
+  uint64_t injected() const {
+    uint64_t n = 0;
+    for (const std::unique_ptr<Shard>& s : shards_) {
+      n += s->faulty->injected_read_faults() + s->faulty->injected_corruptions();
+    }
+    return n;
   }
+
+ private:
+  struct Shard {
+    storage::PageManager disk;
+    std::unique_ptr<storage::FaultInjectingPageStore> faulty;
+    std::unique_ptr<storage::ChecksummedPageStore> store;
+    std::unique_ptr<rtree::RTree> tree;
+  };
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::optional<partition::FragmentRouter> router_;
+};
+
+TEST_F(FaultInjectionTest, RouterRetriesTransientFaultsAndSurfacesCorruption) {
+  const std::vector<rtree::DataEntry> data = MakeData(kPoints);
+  const std::vector<WireQuery> queries = MakeNnWorkload(120, 71);
+
+  // Runs the workload clean, then armed; returns the armed errors after
+  // checking every OK reply against the clean bytes.
+  auto run = [&](ShardedFaultStack& stack, core::Server& server,
+                 StatusCode expected_error) {
+    std::vector<std::vector<uint8_t>> clean;
+    for (const WireQuery& q : queries) clean.push_back(Ask(server, q).value());
+    stack.Arm(true);
+    size_t errors = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const StatusOr<std::vector<uint8_t>> reply = Ask(server, queries[i]);
+      if (reply.ok()) {
+        EXPECT_EQ(*reply, clean[i]) << "query " << i;
+      } else {
+        ++errors;
+        EXPECT_EQ(reply.status().code(), expected_error) << "query " << i;
+      }
+    }
+    stack.Arm(false);
+    EXPECT_GT(stack.injected(), 0u);
+    EXPECT_EQ(server.query_errors(), errors);
+    return errors;
+  };
+
+  storage::FaultInjectingPageStore::Options transient;
+  transient.seed = 73;
+  transient.read_fault_probability = 0.02;
+  ShardedFaultStack flaky(data, universe_, transient);
+  core::Server flaky_server(flaky.backend(), universe_);
+  flaky_server.set_max_query_retries(8);
+  const size_t transient_errors =
+      run(flaky, flaky_server, StatusCode::kUnavailable);
+  EXPECT_GT(flaky_server.query_retries(), 0u);
+  EXPECT_LT(transient_errors, queries.size() / 4);
+
+  storage::FaultInjectingPageStore::Options corrupt;
+  corrupt.seed = 79;
+  corrupt.read_corruption_probability = 0.05;
+  ShardedFaultStack rotten(data, universe_, corrupt);
+  core::Server rotten_server(rotten.backend(), universe_);
+  const size_t corrupt_errors = run(rotten, rotten_server, StatusCode::kDataLoss);
+  EXPECT_GT(corrupt_errors, 0u);
+  EXPECT_LT(corrupt_errors, queries.size());
 }
 
 }  // namespace

@@ -28,6 +28,8 @@
 //     against the current tree (the same bar churn_differential_test
 //     holds the single-tree cache to), and the decoded answer must be
 //     valid at the client position.
+//   * Cache on with CacheConfig::region_scoped = false: the same bytes,
+//     with every update taking the epoch path instead of surgical kills.
 
 namespace lbsq::partition {
 namespace {
@@ -36,7 +38,8 @@ using test::TreeFixture;
 
 const geo::Rect kUnit(0.0, 0.0, 1.0, 1.0);
 
-void RunDifferential(size_t fragments, bool cache_on) {
+void RunDifferential(size_t fragments, bool cache_on,
+                     bool region_scoped = true) {
   constexpr size_t kQueries = 10000;
   constexpr double kHx = 0.02, kHy = 0.015;
   constexpr double kRadius = 0.025;
@@ -56,6 +59,7 @@ void RunDifferential(size_t fragments, bool cache_on) {
     cache::CacheConfig config;
     config.max_entries = 8192;
     config.max_bytes = 16u << 20;
+    config.region_scoped = region_scoped;
     sharded.EnableCache(config);
   }
 
@@ -139,7 +143,7 @@ void RunDifferential(size_t fragments, bool cache_on) {
     }
   }
   ASSERT_EQ(query_index, kQueries);
-  EXPECT_EQ(sharded.size(), fx.tree->size());
+  EXPECT_EQ(sharded.router().size(), fx.tree->size());
   if (cache_on) {
     // The run only proves something about cached partitioned serving if
     // the caches actually served hits under churn.
@@ -150,6 +154,12 @@ void RunDifferential(size_t fragments, bool cache_on) {
       // Ownership placement must route some entries into fragment caches
       // (not dump everything into the boundary cache).
       EXPECT_GT(sharded.owner_cache_inserts(), 0u);
+    }
+    if (!region_scoped) {
+      // With region scoping off, every update epoch-invalidates the
+      // caches; no entry may die by a surgical kill.
+      EXPECT_GT(stats.epoch_invalidations, 0u);
+      EXPECT_EQ(stats.entries_invalidated_by_update, 0u);
     }
   } else {
     EXPECT_EQ(hits, 0u);
@@ -164,6 +174,9 @@ TEST(PartitionDifferentialTest, K1CacheOn) { RunDifferential(1, true); }
 TEST(PartitionDifferentialTest, K2CacheOn) { RunDifferential(2, true); }
 TEST(PartitionDifferentialTest, K4CacheOn) { RunDifferential(4, true); }
 TEST(PartitionDifferentialTest, K8CacheOn) { RunDifferential(8, true); }
+TEST(PartitionDifferentialTest, K4CacheOnEpochInvalidation) {
+  RunDifferential(4, true, /*region_scoped=*/false);
+}
 
 }  // namespace
 }  // namespace lbsq::partition

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,22 +13,22 @@
 
 // Unit tests of the semantic answer cache in isolation: hit/miss
 // geometry, exact-parameter matching, LRU and byte-budget eviction,
-// epoch invalidation, counters, and the mutex-wrapped shared variant.
-// The serving-path integration (Server / BatchServer) is covered by
-// cache_differential_test.cc and batch_server_test.cc.
+// epoch invalidation and counters. The serving-path integration
+// (core::Server's cache set) is covered by cache_differential_test.cc,
+// churn_differential_test.cc and partition_differential_test.cc.
 
 namespace lbsq::cache {
 namespace {
 
 const geo::Rect kUnit(0.0, 0.0, 1.0, 1.0);
 
-std::vector<uint8_t> MakeBytes(size_t n, uint8_t fill) {
-  return std::vector<uint8_t>(n, fill);
+CachedBytes MakeBytes(size_t n, uint8_t fill) {
+  return MakeCachedBytes(std::vector<uint8_t>(n, fill));
 }
 
 // A window entry whose validity region is a plain rectangle (no holes).
 void InsertWindowRect(SemanticCache* cache, double hx, double hy,
-                      const geo::Rect& rect, std::vector<uint8_t> bytes) {
+                      const geo::Rect& rect, CachedBytes bytes) {
   cache->InsertWindow(hx, hy, geo::RectMinusBoxes(rect, {}),
                       std::move(bytes));
 }
@@ -39,16 +38,16 @@ TEST(SemanticCacheTest, WindowHitMissAndParameterMatch) {
   InsertWindowRect(&cache, 0.1, 0.1, geo::Rect(0.2, 0.2, 0.4, 0.4),
                    MakeBytes(16, 7));
 
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
-  EXPECT_EQ(out, MakeBytes(16, 7));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
+  EXPECT_EQ(*out, *MakeBytes(16, 7));
 
   // Outside the region: miss.
-  EXPECT_FALSE(cache.LookupWindow({0.5, 0.5}, 0.1, 0.1, &out));
+  EXPECT_FALSE(cache.LookupWindowShared({0.5, 0.5}, 0.1, 0.1, &out));
   // Same position, different window extents: miss (exact parameter key).
-  EXPECT_FALSE(cache.LookupWindow({0.3, 0.3}, 0.2, 0.1, &out));
+  EXPECT_FALSE(cache.LookupWindowShared({0.3, 0.3}, 0.2, 0.1, &out));
   // Different query kind entirely: miss.
-  EXPECT_FALSE(cache.LookupNn({0.3, 0.3}, 1, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.3, 0.3}, 1, &out));
 
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.inserts, 1u);
@@ -68,15 +67,15 @@ TEST(SemanticCacheTest, NnBisectorSemanticsAreClosed) {
   cache.InsertNn(1, kUnit, kUnit, {{0.25, 0.5}}, constraints,
                  MakeBytes(8, 1));
 
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupNn({0.1, 0.5}, 1, &out));
-  EXPECT_FALSE(cache.LookupNn({0.9, 0.5}, 1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupNnShared({0.1, 0.5}, 1, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.9, 0.5}, 1, &out));
   // Exactly on the bisector: still valid — the cache must mirror the
   // closed (>) comparison of NnValidityResult::IsValidAt, or it would
   // serve/withhold answers inconsistently with the client's own check.
-  EXPECT_TRUE(cache.LookupNn({0.5, 0.5}, 1, &out));
+  EXPECT_TRUE(cache.LookupNnShared({0.5, 0.5}, 1, &out));
   // Same position, different k: miss.
-  EXPECT_FALSE(cache.LookupNn({0.1, 0.5}, 2, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.1, 0.5}, 2, &out));
 }
 
 TEST(SemanticCacheTest, WindowHolesMirrorClosedContainment) {
@@ -86,12 +85,12 @@ TEST(SemanticCacheTest, WindowHolesMirrorClosedContainment) {
   cache.InsertWindow(0.1, 0.1, geo::RectMinusBoxes(base, {hole}),
                      MakeBytes(4, 2));
 
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupWindow({0.1, 0.1}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupWindowShared({0.1, 0.1}, 0.1, 0.1, &out));
   // Inside the hole's interior: invalid.
-  EXPECT_FALSE(cache.LookupWindow({0.4, 0.4}, 0.1, 0.1, &out));
+  EXPECT_FALSE(cache.LookupWindowShared({0.4, 0.4}, 0.1, 0.1, &out));
   // Exactly on the hole boundary: valid (open hole interiors).
-  EXPECT_TRUE(cache.LookupWindow({0.3, 0.4}, 0.1, 0.1, &out));
+  EXPECT_TRUE(cache.LookupWindowShared({0.3, 0.4}, 0.1, 0.1, &out));
 }
 
 TEST(SemanticCacheTest, RangeDiskRegion) {
@@ -100,10 +99,10 @@ TEST(SemanticCacheTest, RangeDiskRegion) {
   geo::DiskRegion region(bounds, {{{0.5, 0.5}, 0.2}}, {});
   cache.InsertRange(0.25, region, MakeBytes(4, 3));
 
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupRange({0.5, 0.5}, 0.25, &out));
-  EXPECT_FALSE(cache.LookupRange({0.69, 0.69}, 0.25, &out));  // outside disk
-  EXPECT_FALSE(cache.LookupRange({0.5, 0.5}, 0.1, &out));     // wrong radius
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupRangeShared({0.5, 0.5}, 0.25, &out));
+  EXPECT_FALSE(cache.LookupRangeShared({0.69, 0.69}, 0.25, &out));  // outside disk
+  EXPECT_FALSE(cache.LookupRangeShared({0.5, 0.5}, 0.1, &out));     // wrong radius
 }
 
 TEST(SemanticCacheTest, LruEvictsLeastRecentlyUsed) {
@@ -116,16 +115,16 @@ TEST(SemanticCacheTest, LruEvictsLeastRecentlyUsed) {
                    MakeBytes(4, 2));  // B
 
   // Touch A so B becomes the LRU victim.
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(cache.LookupWindow({0.1, 0.1}, 0.1, 0.1, &out));
+  CachedBytes out;
+  ASSERT_TRUE(cache.LookupWindowShared({0.1, 0.1}, 0.1, 0.1, &out));
 
   InsertWindowRect(&cache, 0.1, 0.1, geo::Rect(0.8, 0.8, 1.0, 1.0),
                    MakeBytes(4, 3));  // C evicts B
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.LookupWindow({0.1, 0.1}, 0.1, 0.1, &out));   // A alive
-  EXPECT_FALSE(cache.LookupWindow({0.5, 0.5}, 0.1, 0.1, &out));  // B gone
-  EXPECT_TRUE(cache.LookupWindow({0.9, 0.9}, 0.1, 0.1, &out));   // C alive
+  EXPECT_TRUE(cache.LookupWindowShared({0.1, 0.1}, 0.1, 0.1, &out));   // A alive
+  EXPECT_FALSE(cache.LookupWindowShared({0.5, 0.5}, 0.1, 0.1, &out));  // B gone
+  EXPECT_TRUE(cache.LookupWindowShared({0.9, 0.9}, 0.1, 0.1, &out));   // C alive
 }
 
 TEST(SemanticCacheTest, ByteBudgetBoundsOccupancy) {
@@ -166,8 +165,8 @@ TEST(SemanticCacheTest, InvalidateDropsStaleEntriesLazily) {
                    MakeBytes(4, 1));
   cache.Invalidate();
 
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_FALSE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
   EXPECT_EQ(cache.entries(), 0u);  // dropped by the lookup itself
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.epoch_invalidations, 1u);
@@ -176,8 +175,8 @@ TEST(SemanticCacheTest, InvalidateDropsStaleEntriesLazily) {
   // Entries inserted after the bump are live again.
   InsertWindowRect(&cache, 0.1, 0.1, geo::Rect(0.2, 0.2, 0.4, 0.4),
                    MakeBytes(4, 2));
-  EXPECT_TRUE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
-  EXPECT_EQ(out, MakeBytes(4, 2));
+  EXPECT_TRUE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
+  EXPECT_EQ(*out, *MakeBytes(4, 2));
 }
 
 TEST(SemanticCacheTest, ScrubPurgesEagerly) {
@@ -192,8 +191,8 @@ TEST(SemanticCacheTest, ScrubPurgesEagerly) {
 
   EXPECT_EQ(cache.Scrub(), 2u);  // only the pre-bump entries
   EXPECT_EQ(cache.entries(), 1u);
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupWindow({0.45, 0.45}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupWindowShared({0.45, 0.45}, 0.1, 0.1, &out));
 }
 
 TEST(SemanticCacheTest, ClearDropsEverything) {
@@ -203,8 +202,8 @@ TEST(SemanticCacheTest, ClearDropsEverything) {
   cache.Clear();
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_FALSE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
 }
 
 TEST(SemanticCacheTest, MostRecentInsertWinsWithinCell) {
@@ -216,9 +215,9 @@ TEST(SemanticCacheTest, MostRecentInsertWinsWithinCell) {
                    MakeBytes(4, 1));
   InsertWindowRect(&cache, 0.1, 0.1, geo::Rect(0.25, 0.25, 0.45, 0.45),
                    MakeBytes(4, 2));
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
-  EXPECT_TRUE(out == MakeBytes(4, 1) || out == MakeBytes(4, 2));
+  CachedBytes out;
+  ASSERT_TRUE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
+  EXPECT_TRUE(*out == *MakeBytes(4, 1) || *out == *MakeBytes(4, 2));
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -235,13 +234,13 @@ TEST(SemanticCacheTest, InvalidateAtKillsOnlyAffectedNnEntries) {
   // An insert far beyond the rival can never beat the answer anywhere in
   // the region: retained.
   EXPECT_EQ(cache.InvalidateAt({0.99, 0.5}, UpdateKind::kInsert), 0u);
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupNn({0.3, 0.5}, 1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupNnShared({0.3, 0.5}, 1, &out));
 
   // An insert right next to the answer beats it over most of the region:
   // killed.
   EXPECT_EQ(cache.InvalidateAt({0.31, 0.5}, UpdateKind::kInsert), 1u);
-  EXPECT_FALSE(cache.LookupNn({0.3, 0.5}, 1, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.3, 0.5}, 1, &out));
   EXPECT_EQ(cache.stats().entries_invalidated_by_update, 1u);
   EXPECT_EQ(cache.stats().epoch_invalidations, 0u);
 }
@@ -260,8 +259,8 @@ TEST(SemanticCacheTest, InsertExactlyOnBisectorInvalidates) {
   cache.InsertNn(1, kUnit, bounds, {answer}, {{answer, rival}},
                  MakeBytes(8, 1));
   EXPECT_EQ(cache.InvalidateAt(rival, UpdateKind::kInsert), 1u);
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(cache.LookupNn({0.3, 0.5}, 1, &out));
+  CachedBytes out;
+  EXPECT_FALSE(cache.LookupNnShared({0.3, 0.5}, 1, &out));
 }
 
 TEST(SemanticCacheTest, NnDeleteKillsOnlyReferencedObjects) {
@@ -274,12 +273,12 @@ TEST(SemanticCacheTest, NnDeleteKillsOnlyReferencedObjects) {
 
   // Deleting an object the answer never referenced changes nothing.
   EXPECT_EQ(cache.InvalidateAt({0.2, 0.2}, UpdateKind::kDelete), 0u);
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupNn({0.3, 0.5}, 1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupNnShared({0.3, 0.5}, 1, &out));
 
   // Deleting the influence rival changes the encoded region: killed.
   EXPECT_EQ(cache.InvalidateAt(rival, UpdateKind::kDelete), 1u);
-  EXPECT_FALSE(cache.LookupNn({0.3, 0.5}, 1, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.3, 0.5}, 1, &out));
 
   // Deleting the answer member itself kills too.
   cache.InsertNn(1, kUnit, bounds, {answer}, {{answer, rival}},
@@ -293,10 +292,10 @@ TEST(SemanticCacheTest, UnderFilledNnAnswerDiesOnAnyInsert) {
   // points", valid everywhere, and any insert anywhere joins it.
   cache.InsertNn(5, kUnit, kUnit, {{0.2, 0.2}, {0.8, 0.8}}, {},
                  MakeBytes(8, 1));
-  std::vector<uint8_t> out;
-  ASSERT_TRUE(cache.LookupNn({0.5, 0.5}, 5, &out));
+  CachedBytes out;
+  ASSERT_TRUE(cache.LookupNnShared({0.5, 0.5}, 5, &out));
   EXPECT_EQ(cache.InvalidateAt({0.9, 0.1}, UpdateKind::kInsert), 1u);
-  EXPECT_FALSE(cache.LookupNn({0.5, 0.5}, 5, &out));
+  EXPECT_FALSE(cache.LookupNnShared({0.5, 0.5}, 5, &out));
 
   // Deleting a non-member leaves the all-points answer intact; deleting
   // a member kills it.
@@ -316,10 +315,10 @@ TEST(SemanticCacheTest, WindowKillPredicateIsDilatedBase) {
                    MakeBytes(8, 1));
   EXPECT_EQ(cache.InvalidateAt({0.61, 0.3}, UpdateKind::kInsert), 0u);
   EXPECT_EQ(cache.InvalidateAt({0.61, 0.3}, UpdateKind::kDelete), 0u);
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupWindow({0.4, 0.4}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupWindowShared({0.4, 0.4}, 0.1, 0.1, &out));
   EXPECT_EQ(cache.InvalidateAt({0.6, 0.6}, UpdateKind::kInsert), 1u);
-  EXPECT_FALSE(cache.LookupWindow({0.4, 0.4}, 0.1, 0.1, &out));
+  EXPECT_FALSE(cache.LookupWindowShared({0.4, 0.4}, 0.1, 0.1, &out));
 }
 
 TEST(SemanticCacheTest, RangeKillPredicateIsDilatedBounds) {
@@ -330,10 +329,10 @@ TEST(SemanticCacheTest, RangeKillPredicateIsDilatedBounds) {
                          {{{0.5, 0.5}, 0.05}}, {});
   cache.InsertRange(0.1, region, MakeBytes(8, 1));
   EXPECT_EQ(cache.InvalidateAt({0.75, 0.5}, UpdateKind::kInsert), 0u);
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupRange({0.5, 0.5}, 0.1, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupRangeShared({0.5, 0.5}, 0.1, &out));
   EXPECT_EQ(cache.InvalidateAt({0.65, 0.5}, UpdateKind::kDelete), 1u);
-  EXPECT_FALSE(cache.LookupRange({0.5, 0.5}, 0.1, &out));
+  EXPECT_FALSE(cache.LookupRangeShared({0.5, 0.5}, 0.1, &out));
 }
 
 TEST(SemanticCacheTest, InvalidateAtOutsideUniverseFallsBackToEpoch) {
@@ -344,8 +343,8 @@ TEST(SemanticCacheTest, InvalidateAtOutsideUniverseFallsBackToEpoch) {
   // miss entries; the cache must take the epoch path instead.
   EXPECT_EQ(cache.InvalidateAt({1.5, 0.5}, UpdateKind::kInsert), 0u);
   EXPECT_EQ(cache.stats().epoch_invalidations, 1u);
-  std::vector<uint8_t> out;
-  EXPECT_FALSE(cache.LookupWindow({0.3, 0.3}, 0.1, 0.1, &out));
+  CachedBytes out;
+  EXPECT_FALSE(cache.LookupWindowShared({0.3, 0.3}, 0.1, 0.1, &out));
   EXPECT_EQ(cache.stats().stale_drops, 1u);
 }
 
@@ -372,21 +371,21 @@ TEST(SemanticCacheTest, CellCompactionReclaimsDeadCapacity) {
   // The cache still works after compaction.
   InsertWindowRect(&cache, 0.05, 0.05, geo::Rect(0.2, 0.2, 0.3, 0.3),
                    MakeBytes(8, 1));
-  std::vector<uint8_t> out;
-  EXPECT_TRUE(cache.LookupWindow({0.25, 0.25}, 0.05, 0.05, &out));
+  CachedBytes out;
+  EXPECT_TRUE(cache.LookupWindowShared({0.25, 0.25}, 0.05, 0.05, &out));
 }
 
 TEST(SemanticCacheTest, AccountingInvariantHolds) {
   CacheConfig config;
   config.max_entries = 16;  // force eviction churn
   SemanticCache cache(kUnit, config);
-  std::vector<uint8_t> out;
+  CachedBytes out;
   for (int i = 0; i < 200; ++i) {
     const double lo = 0.004 * (i % 200);
     InsertWindowRect(&cache, 0.05, 0.05,
                      geo::Rect(lo, lo, lo + 0.05, lo + 0.05),
                      MakeBytes(8, static_cast<uint8_t>(i)));
-    cache.LookupWindow({lo + 0.02, lo + 0.02}, 0.05, 0.05, &out);
+    cache.LookupWindowShared({lo + 0.02, lo + 0.02}, 0.05, 0.05, &out);
     if (i % 31 == 0) cache.Invalidate();
     if (i % 7 == 0) {
       cache.InvalidateAt({lo, lo}, UpdateKind::kInsert);
@@ -437,8 +436,8 @@ TEST(SemanticCacheTest, KillFootprintDefinitionsCoverEveryActualKill) {
                      MakeBytes(8, 1));
        },
        [&](SemanticCache* c) {
-         std::vector<uint8_t> out;
-         return c->LookupNn({0.45, 0.5}, 1, &out);
+         CachedBytes out;
+         return c->LookupNnShared({0.45, 0.5}, 1, &out);
        }});
   probes.push_back(
       {"window", SemanticCache::WindowKillFootprint(window_base, 0.05, 0.07),
@@ -447,8 +446,8 @@ TEST(SemanticCacheTest, KillFootprintDefinitionsCoverEveryActualKill) {
                          MakeBytes(8, 2));
        },
        [&](SemanticCache* c) {
-         std::vector<uint8_t> out;
-         return c->LookupWindow({0.3, 0.4}, 0.05, 0.07, &out);
+         CachedBytes out;
+         return c->LookupWindowShared({0.3, 0.4}, 0.05, 0.07, &out);
        }});
   probes.push_back(
       {"range", SemanticCache::RangeKillFootprint(range_bounds, 0.25),
@@ -456,8 +455,8 @@ TEST(SemanticCacheTest, KillFootprintDefinitionsCoverEveryActualKill) {
          c->InsertRange(0.25, range_region, MakeBytes(8, 3));
        },
        [&](SemanticCache* c) {
-         std::vector<uint8_t> out;
-         return c->LookupRange({0.5, 0.5}, 0.25, &out);
+         CachedBytes out;
+         return c->LookupRangeShared({0.5, 0.5}, 0.25, &out);
        }});
 
   for (const Probe& probe : probes) {
@@ -484,32 +483,6 @@ TEST(SemanticCacheTest, KillFootprintDefinitionsCoverEveryActualKill) {
     // vacuous.
     EXPECT_GT(kills, 0u) << probe.name;
   }
-}
-
-TEST(SemanticCacheTest, SharedWrapperIsUsableConcurrently) {
-  SharedSemanticCache cache(kUnit, CacheConfig{});
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 200;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
-      std::vector<uint8_t> out;
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const double lo = 0.1 * (i % 8);
-        cache.InsertWindow(
-            0.05, 0.05,
-            geo::RectMinusBoxes(geo::Rect(lo, lo, lo + 0.05, lo + 0.05), {}),
-            MakeBytes(8, static_cast<uint8_t>(t)));
-        cache.LookupWindow({lo + 0.02, lo + 0.02}, 0.05, 0.05, &out);
-        if (i % 50 == 0) cache.Invalidate();
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups, static_cast<uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
 }
 
 }  // namespace

@@ -14,10 +14,9 @@
 #           when no clang++ is on the box (lbsq_lint's guarded-access
 #           rule remains the everywhere gate)
 #   asan    ASan+UBSan build + full ctest suite
-#   tsan    TSan build + the threaded suites (BatchServer incl. the
-#           cache-enabled wire batches, the shared semantic cache, fault
-#           injection, the net and push suites whose event loop runs on
-#           its own thread, and the partition suite's concurrent
+#   tsan    TSan build + the threaded suites (fault injection, the
+#           semantic cache, the net and push suites whose event loop
+#           runs on its own thread, and the partition suite's concurrent
 #           routing-table readers) — the rest are single-threaded and
 #           add nothing
 #   bench-smoke  micro + net_loadgen + the partition K-sweep +
@@ -28,8 +27,8 @@
 #           for thresholds)
 #   bench-gate   micro BM_KnnBestFirst/100 + the window/range validity
 #           engine micros, churn, a quarter-scale
-#           net_loadgen and a quarter-scale throughput (batch-server
-#           q/s) compared against bench/baseline.json via
+#           net_loadgen and a quarter-scale throughput (core::Server's
+#           serial q/s) compared against bench/baseline.json via
 #           tools/bench_gate.py; the baseline's bands are generous
 #           multiples so only a real regression trips them
 #
@@ -106,10 +105,9 @@ stage_asan() {
 
 stage_tsan() {
   cmake -S "$ROOT" -B "$ROOT/build-tsan" -DLBSQ_SANITIZE=thread >/dev/null &&
-    cmake --build "$ROOT/build-tsan" --target batch_server_test \
-      fault_injection_test semantic_cache_test net_test net_fault_test \
-      push_test partition_test -j "$JOBS" &&
-    "$ROOT/build-tsan/tests/batch_server_test" &&
+    cmake --build "$ROOT/build-tsan" --target fault_injection_test \
+      semantic_cache_test net_test net_fault_test push_test \
+      partition_test -j "$JOBS" &&
     "$ROOT/build-tsan/tests/fault_injection_test" &&
     "$ROOT/build-tsan/tests/semantic_cache_test" &&
     "$ROOT/build-tsan/tests/net_test" &&

@@ -372,11 +372,7 @@ int CmdServe(const ArgMap& args) {
     return 2;
   }
 
-  // Heap-allocated: g++ 12 -O2 emits a -Wmaybe-uninitialized false positive
-  // for the optional<SemanticCache> member when Server lives on the stack.
   std::unique_ptr<core::Server> server;
-  std::unique_ptr<partition::PartitionedServer> sharded;
-  core::WireService* service = nullptr;
   if (fragments > 1) {
     // Re-shard the attached index into K in-memory fragments: pull every
     // entry out of the on-disk tree and bulk-load one tree per fragment
@@ -385,15 +381,13 @@ int CmdServe(const ArgMap& args) {
     idx.tree->WindowQuery(idx.universe, &entries);
     partition::PartitionedServerOptions popt;
     popt.fragments = fragments;
-    sharded = std::make_unique<partition::PartitionedServer>(
+    server = std::make_unique<partition::PartitionedServer>(
         std::move(entries), idx.universe, popt);
-    if (cache_flag == "on") sharded->EnableCache(config);
-    service = sharded.get();
   } else {
     server = std::make_unique<core::Server>(idx.tree.get(), idx.universe);
-    if (cache_flag == "on") server->EnableCache(config);
-    service = server.get();
   }
+  if (cache_flag == "on") server->EnableCache(config);
+  core::WireService* service = server.get();
 
   const std::string push_flag = GetOr(args, "push", "on");
   if (push_flag != "on" && push_flag != "off") {
@@ -451,24 +445,22 @@ int CmdServe(const ArgMap& args) {
                 static_cast<unsigned long long>(stats.pushes_revoked),
                 static_cast<unsigned long long>(stats.subscriptions_closed));
   }
-  if (sharded ? sharded->cache_enabled() : server->cache_enabled()) {
-    const cache::CacheStats cache_stats =
-        sharded ? sharded->cache_stats() : server->cache_stats();
+  if (server->cache_enabled()) {
+    const cache::CacheStats cache_stats = server->cache_stats();
     std::printf("cache: %llu lookups, %llu hits\n",
                 static_cast<unsigned long long>(cache_stats.lookups),
                 static_cast<unsigned long long>(cache_stats.hits));
   }
-  if (sharded) {
-    const core::ServiceInfo info = sharded->info();
-    for (size_t f = 0; f < info.fragments.size(); ++f) {
-      const core::FragmentStat& fs = info.fragments[f];
-      std::printf("fragment %zu: %llu points, mbr [%g, %g] x [%g, %g], "
-                  "%llu cache hits / %llu lookups\n",
-                  f, static_cast<unsigned long long>(fs.points), fs.mbr.min_x,
-                  fs.mbr.max_x, fs.mbr.min_y, fs.mbr.max_y,
-                  static_cast<unsigned long long>(fs.cache_hits),
-                  static_cast<unsigned long long>(fs.cache_lookups));
-    }
+  // Empty unless the server is sharded.
+  const core::ServiceInfo info = server->info();
+  for (size_t f = 0; f < info.fragments.size(); ++f) {
+    const core::FragmentStat& fs = info.fragments[f];
+    std::printf("fragment %zu: %llu points, mbr [%g, %g] x [%g, %g], "
+                "%llu cache hits / %llu lookups\n",
+                f, static_cast<unsigned long long>(fs.points), fs.mbr.min_x,
+                fs.mbr.max_x, fs.mbr.min_y, fs.mbr.max_y,
+                static_cast<unsigned long long>(fs.cache_hits),
+                static_cast<unsigned long long>(fs.cache_lookups));
   }
   return 0;
 }

@@ -2,10 +2,10 @@
 //
 // This box builds with g++ only (no clang-tidy, no cppcheck), so the
 // invariants the codebase promises in prose — the abort/Status boundary
-// of DESIGN.md §7, the BatchServer locking discipline, deterministic
-// experiments — are enforced here, by a comment/string-aware lexer over
-// the sources (no full C++ parse; the rules are chosen so token-level
-// analysis is sound for this codebase's style).
+// of DESIGN.md §7, the mutex discipline of the shared routing table,
+// deterministic experiments — are enforced here, by a comment/string-
+// aware lexer over the sources (no full C++ parse; the rules are chosen
+// so token-level analysis is sound for this codebase's style).
 //
 // Rules (see --list-rules and DESIGN.md "Static analysis layer"):
 //   check-in-decode-surface  no aborting construct in hostile-input code
