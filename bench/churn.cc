@@ -66,26 +66,26 @@ RunResult RunOnce(const workload::Dataset& dataset,
   for (const workload::MixedOp& op : mixed.ops) {
     switch (op.kind) {
       case workload::MixedOp::Kind::kInsert:
-        wb.tree->Insert(op.point, op.id);
+        server.Insert(op.point, op.id);
         break;
       case workload::MixedOp::Kind::kDelete:
-        wb.tree->Delete(op.point, op.id);
+        server.Delete(op.point, op.id);
         break;
       case workload::MixedOp::Kind::kQuery: {
         const geo::Point& p = op.point;
         switch (qi++ % 5) {
           case 0:
           case 1:
-            (void)server.NnQueryWire(p, 1).value();
+            (void)*server.NnQueryWireShared(p, 1).value();
             break;
           case 2:
-            (void)server.NnQueryWire(p, 4).value();
+            (void)*server.NnQueryWireShared(p, 4).value();
             break;
           case 3:
-            (void)server.WindowQueryWire(p, kHx, kHy).value();
+            (void)*server.WindowQueryWireShared(p, kHx, kHy).value();
             break;
           default:
-            (void)server.RangeQueryWire(p, kRadius).value();
+            (void)*server.RangeQueryWireShared(p, kRadius).value();
             break;
         }
         break;

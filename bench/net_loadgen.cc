@@ -109,11 +109,11 @@ std::vector<uint8_t> FreshWireBytes(core::Server& server,
                                     const QuerySpec& s) {
   switch (s.type) {
     case QuerySpec::Type::kNn:
-      return server.NnQueryWire(s.q, s.k).value();
+      return *server.NnQueryWireShared(s.q, s.k).value();
     case QuerySpec::Type::kWindow:
-      return server.WindowQueryWire(s.q, s.a, s.b).value();
+      return *server.WindowQueryWireShared(s.q, s.a, s.b).value();
     case QuerySpec::Type::kRange:
-      return server.RangeQueryWire(s.q, s.a).value();
+      return *server.RangeQueryWireShared(s.q, s.a).value();
   }
   return {};
 }

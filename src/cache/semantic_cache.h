@@ -67,10 +67,10 @@ struct CacheConfig {
   size_t max_bytes = 4u << 20;
   // Uniform grid resolution (cells per axis) of the spatial index.
   size_t grid_resolution = 64;
-  // Serving layers: invalidate per update via InvalidateAt when the tree
-  // can attribute its epoch advance to individual points (the RTree
-  // update log); false forces the epoch sledgehammer on every update —
-  // the pre-region-scoping behavior, kept as the differential twin.
+  // Serving layers: invalidate per update via InvalidateAt at the
+  // update's point (core::Server::Insert/Delete); false forces the epoch
+  // sledgehammer on every update — the pre-region-scoping behavior, kept
+  // as the differential twin.
   bool region_scoped = true;
 };
 
@@ -105,8 +105,7 @@ struct BisectorConstraint {
   geo::Point rival;
 };
 
-// What a dataset update did at its point, for InvalidateAt. Mirrors
-// rtree::UpdateKind (the cache does not depend on the rtree layer).
+// What a dataset update did at its point, for InvalidateAt.
 enum class UpdateKind : uint8_t { kInsert, kDelete };
 
 // Cached wire payloads are immutable and reference-counted: a hit can
@@ -191,7 +190,8 @@ class SemanticCache {
   // Bumps the cache epoch: every current entry becomes stale and is
   // rejected (and dropped) by subsequent lookups. The serving layer calls
   // this when the dataset changed in a way it cannot attribute to
-  // individual update points (BulkLoad, trimmed update log).
+  // individual update points (a mutation that bypassed its update path,
+  // a BulkLoad).
   void Invalidate();
 
   // Eagerly purges every stale entry; returns how many were dropped.

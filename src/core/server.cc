@@ -208,25 +208,21 @@ StatusOr<Server::WireBytes> Server::RangeQueryWireShared(
   return Serve(RangeRequest{focus, radius});
 }
 
-StatusOr<std::vector<uint8_t>> Server::NnQueryWire(const geo::Point& q,
-                                                   size_t k) {
-  StatusOr<WireBytes> shared = NnQueryWireShared(q, k);
-  if (!shared.ok()) return shared.status();
-  return **shared;
+// -- Dataset updates --------------------------------------------------------
+
+void Server::Insert(const geo::Point& p, rtree::ObjectId id) {
+  SyncCacheEpoch();
+  backend_->Insert(p, id);
+  KillCachedAt(p, cache::UpdateKind::kInsert);
+  cache_data_epoch_ = backend_->update_epoch();
 }
 
-StatusOr<std::vector<uint8_t>> Server::WindowQueryWire(const geo::Point& focus,
-                                                       double hx, double hy) {
-  StatusOr<WireBytes> shared = WindowQueryWireShared(focus, hx, hy);
-  if (!shared.ok()) return shared.status();
-  return **shared;
-}
-
-StatusOr<std::vector<uint8_t>> Server::RangeQueryWire(const geo::Point& focus,
-                                                      double radius) {
-  StatusOr<WireBytes> shared = RangeQueryWireShared(focus, radius);
-  if (!shared.ok()) return shared.status();
-  return **shared;
+bool Server::Delete(const geo::Point& p, rtree::ObjectId id) {
+  SyncCacheEpoch();
+  if (!backend_->Delete(p, id)) return false;
+  KillCachedAt(p, cache::UpdateKind::kDelete);
+  cache_data_epoch_ = backend_->update_epoch();
+  return true;
 }
 
 // -- The cache set ----------------------------------------------------------
@@ -296,19 +292,7 @@ void Server::SyncCacheEpoch() {
   if (caches_.empty()) return;
   const uint64_t epoch = backend_->update_epoch();
   if (epoch == cache_data_epoch_) return;
-  update_scratch_.clear();
-  // One epoch invalidation covers the whole gap when the log cannot
-  // attribute it to points, or when region scoping is off.
-  if (caches_[0]->config().region_scoped &&
-      backend_->CopyUpdatesSince(cache_data_epoch_, &update_scratch_)) {
-    for (const rtree::UpdateRecord& u : update_scratch_) {
-      KillCachedAt(u.point, u.kind == rtree::UpdateKind::kInsert
-                                ? cache::UpdateKind::kInsert
-                                : cache::UpdateKind::kDelete);
-    }
-  } else {
-    InvalidateAllCaches();
-  }
+  InvalidateAllCaches();
   cache_data_epoch_ = epoch;
 }
 

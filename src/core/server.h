@@ -25,10 +25,11 @@
 // counting how many it had to process. Mobile clients (mobile_client.h)
 // hit it only when they leave the validity region of a previous answer.
 //
-// The *QueryWire methods are the one serving path of the repository:
+// The *QueryWireShared methods are the one serving path of the
+// repository, and Insert/Delete the one update path:
 //
 //   cache probe -> checked engine run with bounded retry -> encode ->
-//   cache placement;   dataset update -> cache kill.
+//   cache placement;   Insert/Delete -> backend update -> cache kill.
 //
 //   * Checked run. The engines are bracketed with the page store's
 //     read-error channel: an answer computed while a page read failed is
@@ -45,15 +46,16 @@
 //     an owned entry's validity region lies inside its kill footprint, so
 //     any point it can serve routes to its owner. Over one tree the set
 //     is a single cache.
-//   * Kill path. An update at p kills, in owner(p)'s cache and the
-//     boundary cache, only the entries whose answer it can change
-//     (region-scoped InvalidateAt). An update outside the universe, or
-//     config.region_scoped == false, epoch-invalidates every cache.
-//     Updates arrive two ways: the backend's update log, replayed before
-//     each wire query (a tree mutated under the server; a gap the log
-//     cannot attribute to points — BulkLoad, trimmed log — also takes the
-//     epoch path), or a subclass routing the update itself and calling
-//     KillCachedAt (partition::PartitionedServer).
+//   * Kill path. Insert/Delete apply the update to the backend and, on
+//     success, kill in owner(p)'s cache and the boundary cache only the
+//     entries whose answer it can change (region-scoped InvalidateAt).
+//     An update outside the universe, or config.region_scoped == false,
+//     epoch-invalidates every cache.
+//   * Epoch guard. Each wire query and update first compares the
+//     backend's update epoch with the one recorded after this server's
+//     last update. If the data moved by any other route (a tree mutated
+//     directly, a BulkLoad), every cache is epoch-invalidated, so a
+//     stale answer is never served.
 //
 // A cache hit returns the stored bytes of a previous answer whose
 // validity region contains the query point, without touching the
@@ -110,16 +112,16 @@ class Server : public WireService {
   // -- Wire serving path ----------------------------------------------------
 
   // Installs (or, with config.enabled == false, removes) the cache set
-  // the *QueryWire methods consult. Every cache gets the full configured
-  // budget: the fragment caches partition the entry space by ownership,
-  // they do not split one budget. Enabling starts from empty caches
-  // synced to the backend's current update epoch.
+  // the *QueryWireShared methods consult. Every cache gets the full
+  // configured budget: the fragment caches partition the entry space by
+  // ownership, they do not split one budget. Enabling starts from empty
+  // caches synced to the backend's current update epoch.
   void EnableCache(const cache::CacheConfig& config);
   bool cache_enabled() const { return !caches_.empty(); }
   // Aggregate over every cache of the set.
   cache::CacheStats cache_stats() const;
-  // True iff the last successful *QueryWire call was served from the
-  // cache (no engine or page-store work).
+  // True iff the last successful *QueryWireShared call was served from
+  // the cache (no engine or page-store work).
   bool last_wire_from_cache() const override { return last_wire_from_cache_; }
 
   // Immutable, reference-counted wire answer. The *QueryWireShared
@@ -136,14 +138,14 @@ class Server : public WireService {
   [[nodiscard]] StatusOr<WireBytes> RangeQueryWireShared(
       const geo::Point& focus, double radius) override;
 
-  // Owned-buffer variants (copying) for callers that mutate or retain
-  // the bytes; the serving layer uses the Shared forms above.
-  [[nodiscard]] StatusOr<std::vector<uint8_t>> NnQueryWire(const geo::Point& q,
-                                                           size_t k);
-  [[nodiscard]] StatusOr<std::vector<uint8_t>> WindowQueryWire(
-      const geo::Point& focus, double hx, double hy);
-  [[nodiscard]] StatusOr<std::vector<uint8_t>> RangeQueryWire(
-      const geo::Point& focus, double radius);
+  // -- Dataset updates ------------------------------------------------------
+
+  // The only way a served dataset changes: applies the update to the
+  // backend and kills the cache entries it can invalidate (see the
+  // header comment). Delete returns false, killing nothing, if (p, id)
+  // is absent.
+  void Insert(const geo::Point& p, rtree::ObjectId id);
+  bool Delete(const geo::Point& p, rtree::ObjectId id);
 
   // -- Counters -------------------------------------------------------------
 
@@ -171,11 +173,6 @@ class Server : public WireService {
   ServiceInfo info() const override;
 
  protected:
-  // The kill path for one dataset update at `p` (see the header comment).
-  // A subclass that routes updates to the backend itself calls this
-  // after each one.
-  void KillCachedAt(const geo::Point& p, cache::UpdateKind kind);
-
   // Fragment f's owner cache; nullptr while the cache is off.
   const cache::SemanticCache* owner_cache(size_t f) const {
     return caches_.empty() ? nullptr : caches_[f].get();
@@ -208,9 +205,13 @@ class Server : public WireService {
   template <typename Result, typename Fn>
   StatusOr<Result> RunChecked(const Fn& fn);
 
-  // Replays the backend's update log into the kill path when its epoch
-  // advanced past the caches'.
+  // The epoch guard: epoch-invalidates every cache when the backend's
+  // update epoch moved past the one recorded after this server's last
+  // update.
   void SyncCacheEpoch();
+
+  // The kill path for one applied update at `p` (see the header comment).
+  void KillCachedAt(const geo::Point& p, cache::UpdateKind kind);
 
   // Epoch-invalidates every cache of the set.
   void InvalidateAllCaches();
@@ -236,8 +237,6 @@ class Server : public WireService {
   size_t boundary_cache_inserts_ = 0;
   size_t owner_cache_kills_ = 0;
   size_t boundary_cache_kills_ = 0;
-  // Reused buffer for SyncCacheEpoch's update-log replay.
-  std::vector<rtree::UpdateRecord> update_scratch_;
 };
 
 }  // namespace lbsq::core

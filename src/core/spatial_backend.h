@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
 #include "geometry/point.h"
 #include "geometry/rect.h"
 #include "rtree/knn.h"
@@ -40,9 +41,10 @@
 //
 // The backend is also the seam for the checked (untrusted-storage) query
 // path: DropBuffers purges any buffered pages after a read fault so a
-// retry cannot be served a substituted zero page as a hit. And it tells
-// the serving layer (core::Server) what its answer caches need: the
-// fragment layout that places and kills entries, and the update log.
+// retry cannot be served a substituted zero page as a hit. And it is
+// what the serving layer (core::Server) mutates and places cache entries
+// over: Insert/Delete apply a dataset update, and the fragment layout
+// decides which answer cache an entry lives in and an update kills in.
 
 namespace lbsq::core {
 
@@ -89,18 +91,23 @@ class SpatialBackend {
     return true;
   }
 
-  // -- Update log (serving-layer cache invalidation) ------------------------
-  // An epoch that advances with every mutation made under the backend,
-  // and the points those mutations touched (rtree::RTree::update_epoch /
-  // CopyUpdatesSince semantics). The defaults report no mutations: a
-  // backend whose owner routes updates itself (PartitionedServer) kills
-  // the cache entries as it goes.
-  virtual uint64_t update_epoch() const { return 0; }
-  [[nodiscard]] virtual bool CopyUpdatesSince(
-      uint64_t /*since_epoch*/,
-      std::vector<rtree::UpdateRecord>* /*out*/) const {
+  // -- Updates (core::Server::Insert/Delete) --------------------------------
+  // Applies one dataset update; Delete returns false if (p, id) is
+  // absent. The defaults describe a read-only backend and must not be
+  // reached.
+  virtual void Insert(const geo::Point& /*p*/, rtree::ObjectId /*id*/) {
+    LBSQ_CHECK(false && "read-only backend");
+  }
+  virtual bool Delete(const geo::Point& /*p*/, rtree::ObjectId /*id*/) {
+    LBSQ_CHECK(false && "read-only backend");
     return false;
   }
+
+  // An epoch that advances with every mutation of the underlying data
+  // (rtree::RTree::update_epoch). The serving layer's guard compares it
+  // with the epoch it last recorded, so a mutation that bypassed
+  // Insert/Delete still invalidates its caches. The default never moves.
+  virtual uint64_t update_epoch() const { return 0; }
 
   // The canonical entry order of WindowQuery: ascending object id, with
   // (x, y) as a total-order tiebreak for the degenerate duplicate-id
@@ -152,11 +159,13 @@ class RTreeBackend final : public SpatialBackend {
 
   void DropBuffers() override { tree_->buffer().Clear(); }
 
-  uint64_t update_epoch() const override { return tree_->update_epoch(); }
-  bool CopyUpdatesSince(uint64_t since_epoch,
-                        std::vector<rtree::UpdateRecord>* out) const override {
-    return tree_->CopyUpdatesSince(since_epoch, out);
+  void Insert(const geo::Point& p, rtree::ObjectId id) override {
+    tree_->Insert(p, id);
   }
+  bool Delete(const geo::Point& p, rtree::ObjectId id) override {
+    return tree_->Delete(p, id);
+  }
+  uint64_t update_epoch() const override { return tree_->update_epoch(); }
 
  private:
   rtree::RTree* tree_;

@@ -52,6 +52,19 @@ void FragmentRouter::RefreshFragment(size_t f) {
   table_[f] = fresh;
 }
 
+void FragmentRouter::Insert(const geo::Point& p, rtree::ObjectId id) {
+  const size_t owner = OwnerOf(p);
+  trees_[owner]->Insert(p, id);
+  RefreshFragment(owner);
+}
+
+bool FragmentRouter::Delete(const geo::Point& p, rtree::ObjectId id) {
+  const size_t owner = OwnerOf(p);
+  if (!trees_[owner]->Delete(p, id)) return false;
+  RefreshFragment(owner);
+  return true;
+}
+
 geo::Rect FragmentRouter::FragmentExtent(size_t f) const {
   std::lock_guard<std::mutex> lock(mu_);
   return table_[f].extent;

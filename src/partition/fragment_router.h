@@ -35,8 +35,8 @@
 //     internally, so the winning influence pair is the global one.
 //
 // The routing table (per-fragment extent + cardinality) is the one piece
-// of mutable shared state: the serving layer refreshes it after routing
-// an insert/delete to a fragment, while future per-fragment worker
+// of mutable shared state: Insert/Delete refresh it after applying an
+// update to the owning fragment, while future per-fragment worker
 // threads only read it. It is mutex-guarded; queries snapshot it and
 // then walk the fragment trees lock-free (tree access is the caller's
 // single-writer domain, exactly as with a single RTree).
@@ -86,6 +86,10 @@ class FragmentRouter final : public core::SpatialBackend {
       const geo::Point& q, const geo::Vec2& l,
       const std::vector<rtree::Neighbor>& answers) override;
   void DropBuffers() override;
+  // Applies the update to OwnerOf(p)'s tree, then refreshes that
+  // fragment's routing-table entry.
+  void Insert(const geo::Point& p, rtree::ObjectId id) override;
+  bool Delete(const geo::Point& p, rtree::ObjectId id) override;
 
   // Fragments touched by the last Knn call (frontier-stop telemetry).
   size_t last_knn_fragments_visited() const {

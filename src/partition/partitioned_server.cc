@@ -55,19 +55,4 @@ core::ServiceInfo PartitionedServer::info() const {
   return out;
 }
 
-void PartitionedServer::Insert(const geo::Point& p, rtree::ObjectId id) {
-  const size_t owner = router_->OwnerOf(p);
-  fragments_[owner]->tree->Insert(p, id);
-  router_->RefreshFragment(owner);
-  KillCachedAt(p, cache::UpdateKind::kInsert);
-}
-
-bool PartitionedServer::Delete(const geo::Point& p, rtree::ObjectId id) {
-  const size_t owner = router_->OwnerOf(p);
-  if (!fragments_[owner]->tree->Delete(p, id)) return false;
-  router_->RefreshFragment(owner);
-  KillCachedAt(p, cache::UpdateKind::kDelete);
-  return true;
-}
-
 }  // namespace lbsq::partition

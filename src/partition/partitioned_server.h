@@ -8,7 +8,6 @@
 
 #include "core/server.h"
 #include "core/wire_service.h"
-#include "geometry/point.h"
 #include "geometry/rect.h"
 #include "partition/fragment_router.h"
 #include "partition/str_partition.h"
@@ -18,17 +17,18 @@
 // Partitioned serving: the dataset is sharded into K spatial fragments,
 // each owning its own R*-tree, page store and buffer pool, and a
 // FragmentRouter presents them as one core::SpatialBackend. This class
-// only builds the fragments and routes updates; serving is core::Server
-// over the router. Because the router reproduces every query primitive
+// only builds the fragments; serving and updates are core::Server over
+// the router. Because the router reproduces every query primitive
 // exactly (see fragment_router.h) and the wire encoding is a pure
 // function of the engine result, the bytes it emits are identical to a
 // single-tree core::Server over the same dataset — the differential test
 // holds them byte-for-byte equal.
 //
 // The router's fragments are the server's cache set: one owner cache per
-// fragment plus a boundary cache (core/server.h). An update at p goes to
-// owner(p)'s tree and kills entries only in owner(p)'s cache and the
-// boundary cache; the other K-1 fragment caches are untouched.
+// fragment plus a boundary cache (core/server.h). An update at p
+// (core::Server::Insert/Delete) goes to owner(p)'s tree and kills entries
+// only in owner(p)'s cache and the boundary cache; the other K-1 fragment
+// caches are untouched.
 
 namespace lbsq::partition {
 
@@ -71,12 +71,6 @@ class PartitionedServer final : private internal::FragmentSet,
   PartitionedServer(std::vector<rtree::DataEntry> entries,
                     const geo::Rect& universe,
                     const PartitionedServerOptions& options = {});
-
-  // -- Updates --------------------------------------------------------------
-  // Routed to the owning fragment, then through the server's kill path.
-
-  void Insert(const geo::Point& p, rtree::ObjectId id);
-  bool Delete(const geo::Point& p, rtree::ObjectId id);
 
   // -- Introspection --------------------------------------------------------
 

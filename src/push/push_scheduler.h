@@ -64,9 +64,10 @@ class PushScheduler : public net::SubscriptionHandler {
   int OnTick() override;
 
   // Thread-safe: queues a dataset update. The loop thread runs `apply`
-  // (the actual tree/cache mutation — single-writer discipline: only the
-  // serving thread ever mutates the dataset) and then scans subscriptions
-  // whose held or pushed region the update at `point` could have killed.
+  // (the update itself, through core::Server::Insert/Delete, which also
+  // kills the cache entries — single-writer discipline: only the serving
+  // thread ever mutates the dataset) and then scans subscriptions whose
+  // held or pushed region the update at `point` could have killed.
   void PostUpdate(const geo::Point& point, cache::UpdateKind kind,
                   std::function<void()> apply);
 

@@ -161,40 +161,6 @@ size_t RTree::ChooseSubtree(const Node& node, const geo::Rect& r) {
   return best;
 }
 
-namespace {
-
-// Update-log capacity: how far back CopyUpdatesSince can reach. 4096
-// covers any realistic between-sync gap (serving layers sync on every
-// query / batch); a cache that fell further behind is better off with
-// one epoch nuke than thousands of per-point passes anyway.
-constexpr size_t kUpdateLogCapacity = 4096;
-
-}  // namespace
-
-void RTree::RecordUpdate(const geo::Point& p, UpdateKind kind) {
-  // Amortized O(1) front-trim: let the log grow to twice the capacity,
-  // then drop the older half in one move instead of erasing per update.
-  if (update_log_.size() >= 2 * kUpdateLogCapacity) {
-    update_log_.erase(update_log_.begin(),
-                      update_log_.begin() + kUpdateLogCapacity);
-    log_floor_ += kUpdateLogCapacity;
-  }
-  update_log_.push_back({p, kind});
-}
-
-bool RTree::CopyUpdatesSince(uint64_t since_epoch,
-                             std::vector<UpdateRecord>* out) const {
-  if (since_epoch > update_epoch_ || since_epoch < log_floor_) return false;
-  // Invariant: log_floor_ + update_log_.size() == update_epoch_, so the
-  // records for epochs (since_epoch, update_epoch_] start at index
-  // since_epoch - log_floor_.
-  for (size_t i = static_cast<size_t>(since_epoch - log_floor_);
-       i < update_log_.size(); ++i) {
-    out->push_back(update_log_[i]);
-  }
-  return true;
-}
-
 void RTree::Insert(const geo::Point& p, ObjectId id) {
   if (bbox_valid_) bbox_ = bbox_.ExpandedToInclude(p);
   reinserted_levels_.assign(static_cast<size_t>(root_level_) + 2, false);
@@ -202,7 +168,6 @@ void RTree::Insert(const geo::Point& p, ObjectId id) {
   InsertAtLevel(ChildEntry{}, entry, /*target_level=*/0);
   ++size_;
   ++update_epoch_;
-  RecordUpdate(p, UpdateKind::kInsert);
 }
 
 void RTree::InsertAtLevel(const ChildEntry& entry, const DataEntry& data_entry,
@@ -434,11 +399,6 @@ void RTree::BulkLoad(std::vector<DataEntry> entries, double fill) {
   }
   size_ = entries.size();
   ++update_epoch_;
-  // A bulk load is not attributable to individual points: clear the log
-  // and raise the floor so CopyUpdatesSince reports the gap and callers
-  // fall back to full invalidation.
-  update_log_.clear();
-  log_floor_ = update_epoch_;
 
   const auto leaf_cap = std::max<size_t>(
       1, static_cast<size_t>(fill * options_.leaf_capacity));
@@ -523,7 +483,6 @@ bool RTree::Delete(const geo::Point& p, ObjectId id) {
   LBSQ_CHECK(!underflow);  // the root never reports underflow
   --size_;
   ++update_epoch_;
-  RecordUpdate(p, UpdateKind::kDelete);
 
   // Shrink the root while it is internal with a single child.
   while (root_level_ > 0) {

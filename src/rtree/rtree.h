@@ -24,16 +24,6 @@
 
 namespace lbsq::rtree {
 
-// What a logged dataset update did at its point (see
-// RTree::CopyUpdatesSince). Serving layers feed these to the semantic
-// cache's region-scoped invalidation (cache::SemanticCache::InvalidateAt).
-enum class UpdateKind : uint8_t { kInsert, kDelete };
-
-struct UpdateRecord {
-  geo::Point point;
-  UpdateKind kind = UpdateKind::kInsert;
-};
-
 class RTree {
  public:
   struct Options {
@@ -124,20 +114,10 @@ class RTree {
   }
 
   // Dataset update epoch: bumped by every successful Insert, Delete and
-  // BulkLoad on this handle. Serving layers compare it against the epoch
-  // their semantic answer cache was filled under and invalidate the
-  // cache when it advances (cache/semantic_cache.h).
+  // BulkLoad on this handle. core::Server records it after each update it
+  // routes and epoch-invalidates its answer caches when the tree moved
+  // by any other route (core/server.h).
   uint64_t update_epoch() const { return update_epoch_; }
-
-  // Copies the updates that advanced the epoch from `since_epoch`
-  // (exclusive) through update_epoch() (inclusive) into *out, oldest
-  // first. Returns false when the log no longer reaches back that far —
-  // the bounded log was trimmed, or a BulkLoad (which records no
-  // per-point updates) happened in the gap — in which case the caller
-  // must fall back to full invalidation. A true return with an empty
-  // append means the epochs already match.
-  [[nodiscard]] bool CopyUpdatesSince(uint64_t since_epoch,
-                                      std::vector<UpdateRecord>* out) const;
 
   storage::PageId root() const { return root_; }
   Meta meta() const {
@@ -249,17 +229,6 @@ class RTree {
 
   // Successful mutations on this handle (see update_epoch()).
   uint64_t update_epoch_ = 0;
-
-  // Appends to the bounded update log after an epoch bump (amortized
-  // front-trim; see RecordUpdate in rtree.cc for the capacity rule).
-  void RecordUpdate(const geo::Point& p, UpdateKind kind);
-
-  // Bounded log of recent updates, oldest first: update_log_[i] is the
-  // update that advanced the epoch to log_floor_ + i + 1, so the log
-  // covers epochs (log_floor_, update_epoch_]. BulkLoad clears the log
-  // and raises the floor (CopyUpdatesSince reports the gap).
-  std::vector<UpdateRecord> update_log_;
-  uint64_t log_floor_ = 0;
 };
 
 }  // namespace lbsq::rtree

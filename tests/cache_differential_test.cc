@@ -24,6 +24,10 @@
 //       exactly what the server would produce today — i.e. no stale
 //       answer survives the insert/delete epoch bump in the middle of
 //       the run.
+// The bump bypasses Server::Insert/Delete — an insert and a delete made
+// on the tree directly, or a BulkLoad into the served empty tree — so it
+// is the server's epoch guard that must catch it, with region scoping on
+// or off, by invalidating the whole cache.
 
 namespace lbsq::core {
 namespace {
@@ -47,24 +51,29 @@ std::vector<rtree::ObjectId> RangeIds(Server* server, const geo::Point& p,
   return ids;
 }
 
-TEST(CacheDifferentialTest, CachedAnswersMatchFreshAcrossEpochBump) {
+enum class Bump { kDirectUpdates, kBulkLoad };
+
+void RunAcrossEpochBump(bool region_scoped, Bump bump) {
   constexpr size_t kQueries = 10000;
   constexpr size_t kPoints = 20000;
   constexpr double kHx = 0.02, kHy = 0.015;
   constexpr double kRadius = 0.025;
 
   const auto dataset = workload::MakeUnitUniform(kPoints, 811);
-  TreeFixture fx(dataset.entries, 256);
+  // A bulk load needs an empty tree; it is served empty until the bump.
+  TreeFixture fx(bump == Bump::kBulkLoad ? std::vector<rtree::DataEntry>{}
+                                         : dataset.entries,
+                 256);
   Server cached(fx.tree.get(), kUnit);
   Server fresh(fx.tree.get(), kUnit);
 
   cache::CacheConfig config;
   config.max_entries = 8192;
   config.max_bytes = 16u << 20;
-  // This test pins down the epoch-nuke fallback path: one update drops
-  // the whole cache. Region-scoped invalidation has its own
-  // differential test (churn_differential_test.cc).
-  config.region_scoped = false;
+  // Either way the bypassing update drops the whole cache. Region-scoped
+  // kills through Server::Insert/Delete have their own differential
+  // test (churn_differential_test.cc).
+  config.region_scoped = region_scoped;
   cached.EnableCache(config);
 
   const std::vector<geo::Point> queries =
@@ -75,19 +84,25 @@ TEST(CacheDifferentialTest, CachedAnswersMatchFreshAcrossEpochBump) {
     const geo::Point& p = queries[i];
 
     if (i == bump_at) {
-      // Dataset update mid-run: one insert and one delete, each bumping
-      // the tree's update epoch. Every cached answer is now stale.
-      fx.tree->Insert(p, /*id=*/kPoints + 1);
-      ASSERT_TRUE(
-          fx.tree->Delete(dataset.entries[0].point, dataset.entries[0].id));
+      // Dataset update mid-run, each step bumping the tree's update
+      // epoch. Every cached answer is now stale.
+      if (bump == Bump::kDirectUpdates) {
+        fx.tree->Insert(p, /*id=*/kPoints + 1);
+        ASSERT_TRUE(
+            fx.tree->Delete(dataset.entries[0].point, dataset.entries[0].id));
+      } else {
+        fx.tree->BulkLoad(dataset.entries);
+      }
 
       // Immediately after the bump: the next answer must not come from
-      // the (entirely stale) cache, and it must see the new point.
-      const auto bytes = cached.NnQueryWire(p, 1).value();
+      // the (entirely stale) cache, and it must see the new data.
+      const auto bytes = *cached.NnQueryWireShared(p, 1).value();
       EXPECT_FALSE(cached.last_wire_from_cache());
       const NnValidityResult decoded = wire::DecodeNnResult(bytes).value();
       ASSERT_EQ(decoded.answers().size(), 1u);
-      EXPECT_EQ(decoded.answers()[0].entry.id, kPoints + 1);
+      if (bump == Bump::kDirectUpdates) {
+        EXPECT_EQ(decoded.answers()[0].entry.id, kPoints + 1);
+      }
     }
 
     switch (i % 5) {
@@ -95,7 +110,7 @@ TEST(CacheDifferentialTest, CachedAnswersMatchFreshAcrossEpochBump) {
       case 1:
       case 2: {
         const size_t k = (i % 5 == 2) ? 4 : 1;
-        const auto bytes = cached.NnQueryWire(p, k).value();
+        const auto bytes = *cached.NnQueryWireShared(p, k).value();
         const NnValidityResult decoded = wire::DecodeNnResult(bytes).value();
         ASSERT_TRUE(decoded.IsValidAt(p));
         ASSERT_EQ(Ids(decoded.answers()), Ids(fresh.PlainNnQuery(p, k)));
@@ -105,7 +120,7 @@ TEST(CacheDifferentialTest, CachedAnswersMatchFreshAcrossEpochBump) {
         break;
       }
       case 3: {
-        const auto bytes = cached.WindowQueryWire(p, kHx, kHy).value();
+        const auto bytes = *cached.WindowQueryWireShared(p, kHx, kHy).value();
         const WindowValidityResult decoded =
             wire::DecodeWindowResult(bytes).value();
         ASSERT_TRUE(decoded.IsValidAt(p));
@@ -119,7 +134,7 @@ TEST(CacheDifferentialTest, CachedAnswersMatchFreshAcrossEpochBump) {
         break;
       }
       default: {
-        const auto bytes = cached.RangeQueryWire(p, kRadius).value();
+        const auto bytes = *cached.RangeQueryWireShared(p, kRadius).value();
         const RangeValidityResult decoded =
             wire::DecodeRangeResult(bytes).value();
         ASSERT_TRUE(decoded.IsValidAt(p));
@@ -139,9 +154,25 @@ TEST(CacheDifferentialTest, CachedAnswersMatchFreshAcrossEpochBump) {
   // live (post-bump) entries at the end.
   const cache::CacheStats stats = cached.cache_stats();
   EXPECT_EQ(stats.epoch_invalidations, 1u);
+  EXPECT_EQ(stats.entries_invalidated_by_update, 0u);
   EXPECT_GT(stats.hits, kQueries / 4);
   EXPECT_GT(stats.stale_drops, 0u);
   EXPECT_GT(stats.entries, 0u);
+}
+
+TEST(CacheDifferentialTest, CachedAnswersMatchFreshAcrossEpochBump) {
+  struct Case {
+    const char* name;
+    bool region_scoped;
+    Bump bump;
+  };
+  for (const Case& c : {Case{"epoch only", false, Bump::kDirectUpdates},
+                        Case{"region scoped", true, Bump::kDirectUpdates},
+                        Case{"bulk load", true, Bump::kBulkLoad}}) {
+    SCOPED_TRACE(c.name);
+    RunAcrossEpochBump(c.region_scoped, c.bump);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -17,7 +17,9 @@
 // deletes interleaved throughout (workload::MakeMixedWorkload). Two
 // cached servers run over the SAME tree — one with region-scoped
 // invalidation, one with the epoch-nuke fallback — plus an uncached
-// oracle. For every query:
+// oracle. Every update goes through the region-scoped server's
+// Insert/Delete; the twin learns of it through its epoch guard. For
+// every query:
 //   (a) both cached servers agree on the decoded answer set and both
 //       answers are valid at the client position (a hit legitimately
 //       replays a *covering* earlier answer, so raw bytes may differ
@@ -30,7 +32,9 @@
 //       a correct hit.
 // The run is only meaningful if region-scoping actually retains more
 // than the nuke path does, so the final stats must show strictly more
-// region hits than epoch hits and a nonzero per-entry kill count.
+// region hits than epoch hits, a nonzero per-entry kill count and no
+// epoch nuke on the region-scoped side (a guard nuke there would mean
+// the surgical kill path went untested).
 
 namespace lbsq::core {
 namespace {
@@ -70,10 +74,10 @@ TEST(ChurnDifferentialTest, RegionScopedHitsStayByteIdenticalUnderChurn) {
   for (const workload::MixedOp& op : mixed.ops) {
     switch (op.kind) {
       case workload::MixedOp::Kind::kInsert:
-        fx.tree->Insert(op.point, op.id);
+        region.Insert(op.point, op.id);
         continue;
       case workload::MixedOp::Kind::kDelete:
-        ASSERT_TRUE(fx.tree->Delete(op.point, op.id));
+        ASSERT_TRUE(region.Delete(op.point, op.id));
         continue;
       case workload::MixedOp::Kind::kQuery:
         break;
@@ -86,11 +90,12 @@ TEST(ChurnDifferentialTest, RegionScopedHitsStayByteIdenticalUnderChurn) {
       case 1:
       case 2: {
         const size_t k = (i % 5 == 2) ? 4 : 1;
-        const auto bytes = region.NnQueryWire(p, k).value();
+        const auto bytes = *region.NnQueryWireShared(p, k).value();
         const bool hit = region.last_wire_from_cache();
         const NnValidityResult decoded = wire::DecodeNnResult(bytes).value();
         const NnValidityResult twin =
-            wire::DecodeNnResult(epoch.NnQueryWire(p, k).value()).value();
+            wire::DecodeNnResult(*epoch.NnQueryWireShared(p, k).value())
+                .value();
         ASSERT_TRUE(decoded.IsValidAt(p)) << "query " << i;
         ASSERT_TRUE(twin.IsValidAt(p)) << "query " << i;
         ASSERT_EQ(test::Ids(decoded.answers()), test::Ids(twin.answers()))
@@ -104,12 +109,13 @@ TEST(ChurnDifferentialTest, RegionScopedHitsStayByteIdenticalUnderChurn) {
         break;
       }
       case 3: {
-        const auto bytes = region.WindowQueryWire(p, kHx, kHy).value();
+        const auto bytes = *region.WindowQueryWireShared(p, kHx, kHy).value();
         const bool hit = region.last_wire_from_cache();
         const WindowValidityResult decoded =
             wire::DecodeWindowResult(bytes).value();
         const WindowValidityResult twin =
-            wire::DecodeWindowResult(epoch.WindowQueryWire(p, kHx, kHy).value())
+            wire::DecodeWindowResult(
+                *epoch.WindowQueryWireShared(p, kHx, kHy).value())
                 .value();
         ASSERT_TRUE(decoded.IsValidAt(p)) << "query " << i;
         ASSERT_TRUE(twin.IsValidAt(p)) << "query " << i;
@@ -126,12 +132,13 @@ TEST(ChurnDifferentialTest, RegionScopedHitsStayByteIdenticalUnderChurn) {
         break;
       }
       default: {
-        const auto bytes = region.RangeQueryWire(p, kRadius).value();
+        const auto bytes = *region.RangeQueryWireShared(p, kRadius).value();
         const bool hit = region.last_wire_from_cache();
         const RangeValidityResult decoded =
             wire::DecodeRangeResult(bytes).value();
         const RangeValidityResult twin =
-            wire::DecodeRangeResult(epoch.RangeQueryWire(p, kRadius).value())
+            wire::DecodeRangeResult(
+                *epoch.RangeQueryWireShared(p, kRadius).value())
                 .value();
         ASSERT_TRUE(decoded.IsValidAt(p)) << "query " << i;
         ASSERT_TRUE(twin.IsValidAt(p)) << "query " << i;

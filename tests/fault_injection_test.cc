@@ -39,11 +39,13 @@ struct WireQuery {
   double hy = 0.0;
 };
 
-StatusOr<std::vector<uint8_t>> Ask(core::Server& server, const WireQuery& q) {
+StatusOr<core::Server::WireBytes> Ask(core::Server& server,
+                                      const WireQuery& q) {
   switch (q.kind) {
-    case WireQuery::Kind::kNn: return server.NnQueryWire(q.p, q.k);
-    case WireQuery::Kind::kWindow: return server.WindowQueryWire(q.p, q.hx, q.hy);
-    case WireQuery::Kind::kRange: return server.RangeQueryWire(q.p, q.hx);
+    case WireQuery::Kind::kNn: return server.NnQueryWireShared(q.p, q.k);
+    case WireQuery::Kind::kWindow:
+      return server.WindowQueryWireShared(q.p, q.hx, q.hy);
+    case WireQuery::Kind::kRange: return server.RangeQueryWireShared(q.p, q.hx);
   }
   return Status::Internal("unknown query kind");
 }
@@ -129,13 +131,13 @@ class FaultInjectionTest : public ::testing::Test {
                           const std::vector<WireQuery>& queries,
                           StatusCode expected_error) {
     struct Reply {
-      StatusOr<std::vector<uint8_t>> bytes;
+      StatusOr<core::Server::WireBytes> bytes;
       bool from_cache = false;
     };
     std::vector<Reply> replies;
     faulty_->arm();
     for (const WireQuery& q : queries) {
-      StatusOr<std::vector<uint8_t>> bytes = Ask(server, q);
+      StatusOr<core::Server::WireBytes> bytes = Ask(server, q);
       replies.push_back({std::move(bytes), server.last_wire_from_cache()});
     }
     faulty_->disarm();
@@ -153,9 +155,10 @@ class FaultInjectionTest : public ::testing::Test {
       }
       if (!replies[i].from_cache) ++fresh;
       bool valid = false;
-      const WireQuery answered = Answered(queries[i], *replies[i].bytes, &valid);
+      const WireQuery answered =
+          Answered(queries[i], **replies[i].bytes, &valid);
       EXPECT_TRUE(valid) << "query " << i;
-      EXPECT_EQ(*replies[i].bytes, Ask(clean, answered).value())
+      EXPECT_EQ(**replies[i].bytes, *Ask(clean, answered).value())
           << "query " << i;
     }
     EXPECT_EQ(server.query_errors(), errors);
@@ -165,13 +168,13 @@ class FaultInjectionTest : public ::testing::Test {
     EXPECT_EQ(stats.inserts + stats.rejected, fresh);
 
     for (size_t i = 0; i < queries.size(); ++i) {
-      const StatusOr<std::vector<uint8_t>> again = Ask(server, queries[i]);
+      const StatusOr<core::Server::WireBytes> again = Ask(server, queries[i]);
       EXPECT_TRUE(again.ok()) << "query " << i;
       if (!again.ok()) continue;
       bool valid = false;
-      const WireQuery answered = Answered(queries[i], *again, &valid);
+      const WireQuery answered = Answered(queries[i], **again, &valid);
       EXPECT_TRUE(valid) << "query " << i;
-      EXPECT_EQ(*again, Ask(clean, answered).value()) << "replay " << i;
+      EXPECT_EQ(**again, *Ask(clean, answered).value()) << "replay " << i;
     }
     return errors;
   }
@@ -242,17 +245,16 @@ TEST_F(FaultInjectionTest, ServerRetriesAbsorbTransientFaults) {
   // Clean reference answers.
   std::vector<std::vector<uint8_t>> clean_bytes;
   for (const WireQuery& q : queries) {
-    clean_bytes.push_back(server.NnQueryWire(q.p, q.k).value());
+    clean_bytes.push_back(*Ask(server, q).value());
   }
 
   faulty_->arm();
   size_t ok = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const StatusOr<std::vector<uint8_t>> result =
-        server.NnQueryWire(queries[i].p, queries[i].k);
+    const StatusOr<core::Server::WireBytes> result = Ask(server, queries[i]);
     if (result.ok()) {
       ++ok;
-      EXPECT_EQ(*result, clean_bytes[i]);
+      EXPECT_EQ(**result, clean_bytes[i]);
     } else {
       EXPECT_TRUE(IsRetryable(result.status()));
     }
@@ -365,13 +367,13 @@ TEST_F(FaultInjectionTest, RouterRetriesTransientFaultsAndSurfacesCorruption) {
   auto run = [&](ShardedFaultStack& stack, core::Server& server,
                  StatusCode expected_error) {
     std::vector<std::vector<uint8_t>> clean;
-    for (const WireQuery& q : queries) clean.push_back(Ask(server, q).value());
+    for (const WireQuery& q : queries) clean.push_back(*Ask(server, q).value());
     stack.Arm(true);
     size_t errors = 0;
     for (size_t i = 0; i < queries.size(); ++i) {
-      const StatusOr<std::vector<uint8_t>> reply = Ask(server, queries[i]);
+      const StatusOr<core::Server::WireBytes> reply = Ask(server, queries[i]);
       if (reply.ok()) {
-        EXPECT_EQ(*reply, clean[i]) << "query " << i;
+        EXPECT_EQ(**reply, clean[i]) << "query " << i;
       } else {
         ++errors;
         EXPECT_EQ(reply.status().code(), expected_error) << "query " << i;

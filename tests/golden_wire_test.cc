@@ -161,13 +161,10 @@ std::vector<uint8_t> InfoBytes(const core::ServiceInfo& snapshot) {
   return net::EncodeServerInfo(info);
 }
 
-// Replays the script through `service`, applying updates with `insert`
-// and `erase`; returns the corpus lines the run produces.
-template <typename InsertFn, typename DeleteFn>
+// Replays the script through `server`, applying updates through its
+// Insert/Delete; returns the corpus lines the run produces.
 std::vector<std::string> Replay(const std::string& config,
-                                core::WireService& service,
-                                const InsertFn& insert, const DeleteFn& erase,
-                                bool with_dumps) {
+                                core::Server& server, bool with_dumps) {
   const Script script = MakeScript();
   std::vector<std::string> lines;
   bool dumped[4] = {false, false, false, false};
@@ -176,22 +173,23 @@ std::vector<std::string> Replay(const std::string& config,
     StatusOr<core::WireService::WireBytes> reply;
     switch (step.kind) {
       case Step::Kind::kInsert:
-        insert(step.p, step.id);
+        server.Insert(step.p, step.id);
         continue;
       case Step::Kind::kDelete:
-        EXPECT_TRUE(erase(step.p, step.id)) << config << " delete " << step.id;
+        EXPECT_TRUE(server.Delete(step.p, step.id))
+            << config << " delete " << step.id;
         continue;
       case Step::Kind::kNn1:
-        reply = service.NnQueryWireShared(step.p, 1);
+        reply = server.NnQueryWireShared(step.p, 1);
         break;
       case Step::Kind::kNn10:
-        reply = service.NnQueryWireShared(step.p, 10);
+        reply = server.NnQueryWireShared(step.p, 10);
         break;
       case Step::Kind::kWindow:
-        reply = service.WindowQueryWireShared(step.p, kHalfExtent, kHalfExtent);
+        reply = server.WindowQueryWireShared(step.p, kHalfExtent, kHalfExtent);
         break;
       case Step::Kind::kRange:
-        reply = service.RangeQueryWireShared(step.p, kRadius);
+        reply = server.RangeQueryWireShared(step.p, kRadius);
         break;
     }
     const std::string prefix = config + " " + std::to_string(query) + " " +
@@ -209,7 +207,8 @@ std::vector<std::string> Replay(const std::string& config,
       lines.push_back("dump " + prefix + Hex(bytes));
     }
   }
-  lines.push_back("info " + config + " " + Hash(Fnv1a(InfoBytes(service.info()))));
+  lines.push_back("info " + config + " " +
+                  Hash(Fnv1a(InfoBytes(server.info()))));
   return lines;
 }
 
@@ -218,13 +217,8 @@ std::vector<std::string> RunServer(bool cache_on) {
   test::TreeFixture fx(script.entries, 64);
   core::Server server(fx.tree.get(), kUnit);
   if (cache_on) server.EnableCache(cache::CacheConfig{});
-  return Replay(
-      cache_on ? "server_cache" : "server_nocache", server,
-      [&](const geo::Point& p, rtree::ObjectId id) { fx.tree->Insert(p, id); },
-      [&](const geo::Point& p, rtree::ObjectId id) {
-        return fx.tree->Delete(p, id);
-      },
-      /*with_dumps=*/!cache_on);
+  return Replay(cache_on ? "server_cache" : "server_nocache", server,
+                /*with_dumps=*/!cache_on);
 }
 
 std::vector<std::string> RunPartitioned(size_t fragments) {
@@ -233,13 +227,8 @@ std::vector<std::string> RunPartitioned(size_t fragments) {
   options.fragments = fragments;
   partition::PartitionedServer server(script.entries, kUnit, options);
   server.EnableCache(cache::CacheConfig{});
-  return Replay(
-      "partitioned_k" + std::to_string(fragments), server,
-      [&](const geo::Point& p, rtree::ObjectId id) { server.Insert(p, id); },
-      [&](const geo::Point& p, rtree::ObjectId id) {
-        return server.Delete(p, id);
-      },
-      /*with_dumps=*/false);
+  return Replay("partitioned_k" + std::to_string(fragments), server,
+                /*with_dumps=*/false);
 }
 
 // The corpus lines of one configuration (comments and blank lines

@@ -129,7 +129,7 @@ TEST(NetFaultTest, LoopSurvivesMisbehavingClientsAndAccountsEveryDrop) {
   const auto queries = workload::MakeHotspotQueries(kUnit, 40, 3, 1203, 0.01);
   std::vector<std::vector<uint8_t>> want;
   for (const geo::Point& q : queries) {
-    want.push_back(reference->NnQueryWire(q, 4).value());
+    want.push_back(*reference->NnQueryWireShared(q, 4).value());
   }
   ASSERT_GT(reference->cache_stats().hits, 0u) << "workload never hit";
 

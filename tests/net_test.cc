@@ -292,9 +292,10 @@ TEST(NetServerTest, AnswersMatchInProcessWireBytes) {
   // engines share the tree's buffer pool, so no concurrent use.
   std::vector<std::vector<uint8_t>> want_nn, want_window, want_range;
   for (const geo::Point& q : queries) {
-    want_nn.push_back(served.server.NnQueryWire(q, 5).value());
-    want_window.push_back(served.server.WindowQueryWire(q, 0.01, 0.008).value());
-    want_range.push_back(served.server.RangeQueryWire(q, 0.02).value());
+    want_nn.push_back(*served.server.NnQueryWireShared(q, 5).value());
+    want_window.push_back(
+        *served.server.WindowQueryWireShared(q, 0.01, 0.008).value());
+    want_range.push_back(*served.server.RangeQueryWireShared(q, 0.02).value());
   }
 
   ServerHarness harness(&served.server, NetOptions{});
@@ -325,7 +326,7 @@ TEST(NetServerTest, PipelinedRepliesComeBackInOrder) {
   const auto queries = workload::MakeHotspotQueries(kUnit, 40, 4, 905, 0.02);
   std::vector<std::vector<uint8_t>> want;
   for (const geo::Point& q : queries) {
-    want.push_back(served.server.NnQueryWire(q, 3).value());
+    want.push_back(*served.server.NnQueryWireShared(q, 3).value());
   }
 
   ServerHarness harness(&served.server, NetOptions{});
@@ -370,7 +371,7 @@ TEST(NetServerTest, CacheOnSingleConnectionMatchesInProcessReplay) {
   const auto queries = workload::MakeHotspotQueries(kUnit, 120, 3, 909, 0.01);
   std::vector<std::vector<uint8_t>> want;
   for (const geo::Point& q : queries) {
-    want.push_back(reference.NnQueryWire(q, 4).value());
+    want.push_back(*reference.NnQueryWireShared(q, 4).value());
   }
   ASSERT_GT(reference.cache_stats().hits, 0u) << "workload never hit";
 
@@ -523,7 +524,7 @@ TEST(NetServerTest, LargeAnswerServesZeroCopy) {
   const geo::Point q{0.5, 0.5};
   const double radius = 0.4;
   const std::vector<uint8_t> want =
-      served.server.RangeQueryWire(q, radius).value();
+      *served.server.RangeQueryWireShared(q, radius).value();
   ASSERT_GE(want.size(), kZeroCopyMinBytes);
   ASSERT_LE(want.size(), kMaxPayloadBytes);
 
@@ -624,7 +625,7 @@ TEST(NetServerTest, CacheHitReplyStreamByteIdenticalToEncodedFrames) {
     const std::vector<uint8_t> req = EncodeNnRequest({queries[i], 4});
     AppendFrame(FrameType::kNnRequest, id, req.data(), req.size(), &requests);
     const std::vector<uint8_t> answer =
-        reference.NnQueryWire(queries[i], 4).value();
+        *reference.NnQueryWireShared(queries[i], 4).value();
     AppendFrame(FrameType::kAnswer, id, answer.data(), answer.size(),
                 &want_stream);
   }

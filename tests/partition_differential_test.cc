@@ -74,11 +74,11 @@ void RunDifferential(size_t fragments, bool cache_on,
     switch (op.kind) {
       case workload::MixedOp::Kind::kInsert:
         sharded.Insert(op.point, op.id);
-        fx.tree->Insert(op.point, op.id);
+        oracle.Insert(op.point, op.id);
         continue;
       case workload::MixedOp::Kind::kDelete:
         ASSERT_TRUE(sharded.Delete(op.point, op.id));
-        ASSERT_TRUE(fx.tree->Delete(op.point, op.id));
+        ASSERT_TRUE(oracle.Delete(op.point, op.id));
         continue;
       case workload::MixedOp::Kind::kQuery:
         break;
@@ -101,7 +101,7 @@ void RunDifferential(size_t fragments, bool cache_on,
                   .value();
           ASSERT_EQ(bytes, replay) << "query " << i;
         } else {
-          const auto expect = oracle.NnQueryWire(p, k).value();
+          const auto expect = *oracle.NnQueryWireShared(p, k).value();
           ASSERT_EQ(bytes, expect) << "query " << i;
         }
         break;
@@ -118,7 +118,8 @@ void RunDifferential(size_t fragments, bool cache_on,
                   .value();
           ASSERT_EQ(bytes, replay) << "query " << i;
         } else {
-          const auto expect = oracle.WindowQueryWire(p, kHx, kHy).value();
+          const auto expect =
+              *oracle.WindowQueryWireShared(p, kHx, kHy).value();
           ASSERT_EQ(bytes, expect) << "query " << i;
         }
         break;
@@ -135,7 +136,8 @@ void RunDifferential(size_t fragments, bool cache_on,
                   .value();
           ASSERT_EQ(bytes, replay) << "query " << i;
         } else {
-          const auto expect = oracle.RangeQueryWire(p, kRadius).value();
+          const auto expect =
+              *oracle.RangeQueryWireShared(p, kRadius).value();
           ASSERT_EQ(bytes, expect) << "query " << i;
         }
         break;

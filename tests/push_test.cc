@@ -53,9 +53,9 @@ TEST(RegionExitTest, NnCrossingLeavesRegionExactlyOnce) {
   PredictionFixture fx;
   const geo::Point pos{0.41, 0.52};
   const geo::Vec2 vel{0.35, 0.1};
-  const auto bytes = fx.server.NnQueryWire(pos, 4);
+  const auto bytes = fx.server.NnQueryWireShared(pos, 4);
   ASSERT_TRUE(bytes.ok());
-  const auto decoded = core::wire::DecodeNnResult(*bytes);
+  const auto decoded = core::wire::DecodeNnResult(**bytes);
   ASSERT_TRUE(decoded.ok());
   ASSERT_TRUE(decoded->IsValidAt(pos));
 
@@ -74,9 +74,9 @@ TEST(RegionExitTest, WindowAndRangeCrossings) {
   const geo::Point pos{0.5, 0.5};
   const geo::Vec2 vel{-0.2, 0.3};
 
-  const auto wbytes = fx.server.WindowQueryWire(pos, 0.03, 0.02);
+  const auto wbytes = fx.server.WindowQueryWireShared(pos, 0.03, 0.02);
   ASSERT_TRUE(wbytes.ok());
-  const auto window = core::wire::DecodeWindowResult(*wbytes);
+  const auto window = core::wire::DecodeWindowResult(**wbytes);
   ASSERT_TRUE(window.ok());
   const core::TrajectoryPrediction wp =
       core::PredictExit(*window, kUnit, pos, vel);
@@ -84,9 +84,9 @@ TEST(RegionExitTest, WindowAndRangeCrossings) {
   EXPECT_FALSE(window->IsValidAt(wp.next_query));
   EXPECT_TRUE(window->IsValidAt(pos + vel * (wp.exit_time * 0.999)));
 
-  const auto rbytes = fx.server.RangeQueryWire(pos, 0.05);
+  const auto rbytes = fx.server.RangeQueryWireShared(pos, 0.05);
   ASSERT_TRUE(rbytes.ok());
-  const auto range = core::wire::DecodeRangeResult(*rbytes);
+  const auto range = core::wire::DecodeRangeResult(**rbytes);
   ASSERT_TRUE(range.ok());
   const core::TrajectoryPrediction rp =
       core::PredictExit(*range, kUnit, pos, vel);
@@ -98,9 +98,9 @@ TEST(RegionExitTest, WindowAndRangeCrossings) {
 TEST(RegionExitTest, ZeroVelocityAndOffUniverseTrajectoriesDoNotCross) {
   PredictionFixture fx;
   const geo::Point pos{0.5, 0.5};
-  const auto bytes = fx.server.NnQueryWire(pos, 2);
+  const auto bytes = fx.server.NnQueryWireShared(pos, 2);
   ASSERT_TRUE(bytes.ok());
-  const auto decoded = core::wire::DecodeNnResult(*bytes);
+  const auto decoded = core::wire::DecodeNnResult(**bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(
       core::PredictExit(*decoded, pos, geo::Vec2{0.0, 0.0}).has_crossing);
@@ -109,9 +109,9 @@ TEST(RegionExitTest, ZeroVelocityAndOffUniverseTrajectoriesDoNotCross) {
   // exits the universe with the region, so there is no next region to
   // push and no crossing is reported.
   const geo::Point edge{0.999, 0.5};
-  const auto edge_bytes = fx.server.NnQueryWire(edge, 1);
+  const auto edge_bytes = fx.server.NnQueryWireShared(edge, 1);
   ASSERT_TRUE(edge_bytes.ok());
-  const auto edge_decoded = core::wire::DecodeNnResult(*edge_bytes);
+  const auto edge_decoded = core::wire::DecodeNnResult(**edge_bytes);
   ASSERT_TRUE(edge_decoded.ok());
   EXPECT_FALSE(
       core::PredictExit(*edge_decoded, edge, geo::Vec2{1.0, 0.0})
@@ -125,12 +125,12 @@ TEST(RegionExitTest, PredictionIsBitStableAcrossDecodes) {
   PredictionFixture fx;
   const geo::Point pos{0.3, 0.7};
   const geo::Vec2 vel{0.9, -0.4};
-  const auto bytes = fx.server.NnQueryWire(pos, 3);
+  const auto bytes = fx.server.NnQueryWireShared(pos, 3);
   ASSERT_TRUE(bytes.ok());
   const net::SubscribeRequest query{net::SubscribeKind::kNn, pos, vel, 3,
                                     0.0, 0.0, 0.0};
-  const AnswerAnalysis a = AnalyzeAnswer(query, kUnit, *bytes, pos, vel);
-  const AnswerAnalysis b = AnalyzeAnswer(query, kUnit, *bytes, pos, vel);
+  const AnswerAnalysis a = AnalyzeAnswer(query, kUnit, **bytes, pos, vel);
+  const AnswerAnalysis b = AnalyzeAnswer(query, kUnit, **bytes, pos, vel);
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   ASSERT_EQ(a.prediction.has_crossing, b.prediction.has_crossing);
@@ -265,7 +265,7 @@ TEST(PushServingTest, SubscribeAnswersLikeAPullAndPushesTheNextRegion) {
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_NE(sub_id, 0u);
   // The subscribe's synchronous answer is exactly a pull's answer.
-  EXPECT_EQ(*answer, reference.NnQueryWire(req.position, req.k).value());
+  EXPECT_EQ(*answer, *reference.NnQueryWireShared(req.position, req.k).value());
 
   // The client reproduces the server's prediction from the bytes alone.
   const AnswerAnalysis analysis =
@@ -287,7 +287,7 @@ TEST(PushServingTest, SubscribeAnswersLikeAPullAndPushesTheNextRegion) {
   EXPECT_EQ(envelope->at.x, analysis.prediction.next_query.x);
   EXPECT_EQ(envelope->at.y, analysis.prediction.next_query.y);
   EXPECT_EQ(envelope->answer,
-            reference.NnQueryWire(envelope->at, req.k).value());
+            *reference.NnQueryWireShared(envelope->at, req.k).value());
 
   client.Close();
   const net::NetStats stats = harness.Finish();
@@ -323,10 +323,12 @@ TEST(PushServingTest, UpdateKillingAnIdleRegionRevokes) {
   // Delete the subscriber's nearest neighbor: the held region dies, and
   // with no crossing ever coming, the server must revoke.
   const rtree::DataEntry victim = decoded->answers()[0].entry;
-  rtree::RTree* tree = fx.fx.tree.get();
+  core::Server* server = &fx.server;
   harness.scheduler()->PostUpdate(
       victim.point, cache::UpdateKind::kDelete,
-      [tree, victim] { ASSERT_TRUE(tree->Delete(victim.point, victim.id)); });
+      [server, victim] {
+        ASSERT_TRUE(server->Delete(victim.point, victim.id));
+      });
 
   const auto revoke = client.WaitPush(5000);
   ASSERT_TRUE(revoke.ok()) << revoke.status().ToString();
@@ -448,8 +450,7 @@ void RunTrajectoryDifferential(bool cache_enabled) {
   const auto waypoints =
       workload::MakeRandomWaypointTrajectory(dataset, 16, 0.05, 979);
   ASSERT_GE(waypoints.size(), 9u);
-  rtree::RTree* served_tree = served_fx.tree.get();
-  rtree::RTree* reference_tree = reference_fx.tree.get();
+  core::Server* served_server = &served;
   PushScheduler* scheduler = harness.scheduler();
 
   double mirror = 0.0;  // exact mirror of the scheduler's virtual clock
@@ -468,7 +469,7 @@ void RunTrajectoryDifferential(bool cache_enabled) {
 
     const auto subscribed = client.Subscribe(req);
     ASSERT_TRUE(subscribed.ok()) << subscribed.status().ToString();
-    ASSERT_EQ(*subscribed, reference.NnQueryWire(p0, req.k).value())
+    ASSERT_EQ(*subscribed, *reference.NnQueryWireShared(p0, req.k).value())
         << "subscribe answer diverged at segment " << seg;
 
     std::vector<uint8_t> held = *subscribed;
@@ -499,11 +500,11 @@ void RunTrajectoryDifferential(bool cache_enabled) {
       const rtree::ObjectId armed_id = next_id++;
       scheduler->PostUpdate(
           armed_insert, cache::UpdateKind::kInsert,
-          [served_tree, armed_insert, armed_id] {
-            served_tree->Insert(armed_insert, armed_id);
+          [served_server, armed_insert, armed_id] {
+            served_server->Insert(armed_insert, armed_id);
           });
       ASSERT_TRUE(client.Ping().ok());
-      reference_tree->Insert(armed_insert, armed_id);
+      reference.Insert(armed_insert, armed_id);
 
       // Step the clock into the lead window (a no-op when the crossing
       // is nearer than the lead and the push already went out), then
@@ -518,7 +519,7 @@ void RunTrajectoryDifferential(bool cache_enabled) {
       ASSERT_TRUE(DrainLatestPushFor(&client, at, &pushed))
           << "no push for the crossing at segment " << seg << " crossing "
           << crossing;
-      ASSERT_EQ(pushed, reference.NnQueryWire(at, req.k).value())
+      ASSERT_EQ(pushed, *reference.NnQueryWireShared(at, req.k).value())
           << "pushed answer diverged at segment " << seg << " crossing "
           << crossing;
 
@@ -532,16 +533,16 @@ void RunTrajectoryDifferential(bool cache_enabled) {
       const rtree::DataEntry victim = pushed_decoded->answers()[0].entry;
       scheduler->PostUpdate(
           victim.point, cache::UpdateKind::kDelete,
-          [served_tree, victim] {
-            EXPECT_TRUE(served_tree->Delete(victim.point, victim.id));
+          [served_server, victim] {
+            EXPECT_TRUE(served_server->Delete(victim.point, victim.id));
           });
       ASSERT_TRUE(client.Ping().ok());
-      ASSERT_TRUE(reference_tree->Delete(victim.point, victim.id));
+      ASSERT_TRUE(reference.Delete(victim.point, victim.id));
 
       std::vector<uint8_t> corrective;
       ASSERT_TRUE(DrainLatestPushFor(&client, at, &corrective))
           << "no corrective push for a killed in-flight answer";
-      ASSERT_EQ(corrective, reference.NnQueryWire(at, req.k).value())
+      ASSERT_EQ(corrective, *reference.NnQueryWireShared(at, req.k).value())
           << "corrective answer diverged at segment " << seg << " crossing "
           << crossing;
 

@@ -133,25 +133,25 @@ TEST(SoaDifferentialTest, WireBytesByteEqualAcrossTreesWithScalarRangeOracle) {
     const geo::Point& q = queries[i];
     switch (KindOf(i)) {
       case Kind::kNn: {
-        const auto got = server_a.NnQueryWire(q, KOf(i));
-        const auto want = server_b.NnQueryWire(q, KOf(i));
+        const auto got = server_a.NnQueryWireShared(q, KOf(i));
+        const auto want = server_b.NnQueryWireShared(q, KOf(i));
         ASSERT_TRUE(got.ok() && want.ok()) << "query " << i;
-        EXPECT_EQ(*got, *want) << "NN wire bytes differ at query " << i;
+        EXPECT_EQ(**got, **want) << "NN wire bytes differ at query " << i;
         break;
       }
       case Kind::kWindow: {
-        const auto got = server_a.WindowQueryWire(q, 0.01, 0.008);
-        const auto want = server_b.WindowQueryWire(q, 0.01, 0.008);
+        const auto got = server_a.WindowQueryWireShared(q, 0.01, 0.008);
+        const auto want = server_b.WindowQueryWireShared(q, 0.01, 0.008);
         ASSERT_TRUE(got.ok() && want.ok()) << "query " << i;
-        EXPECT_EQ(*got, *want) << "window wire bytes differ at query " << i;
+        EXPECT_EQ(**got, **want) << "window wire bytes differ at query " << i;
         break;
       }
       case Kind::kRange: {
         const double radius = 0.01;
-        const auto got = server_a.RangeQueryWire(q, radius);
-        const auto want = server_b.RangeQueryWire(q, radius);
+        const auto got = server_a.RangeQueryWireShared(q, radius);
+        const auto want = server_b.RangeQueryWireShared(q, radius);
         ASSERT_TRUE(got.ok() && want.ok()) << "query " << i;
-        EXPECT_EQ(*got, *want) << "range wire bytes differ at query " << i;
+        EXPECT_EQ(**got, **want) << "range wire bytes differ at query " << i;
 
         // Scalar oracle for the SoA distance mask: brute-force filter of
         // the legacy window collect by plain SquaredDistance.
@@ -164,7 +164,7 @@ TEST(SoaDifferentialTest, WireBytesByteEqualAcrossTreesWithScalarRangeOracle) {
             expect_ids.push_back(e.id);
           }
         }
-        const auto decoded = core::wire::DecodeRangeResult(*got);
+        const auto decoded = core::wire::DecodeRangeResult(**got);
         ASSERT_TRUE(decoded.ok());
         ASSERT_EQ(decoded->result().size(), expect_ids.size())
             << "range member count diverged from scalar filter at " << i;

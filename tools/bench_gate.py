@@ -28,6 +28,9 @@ in the baseline file:
                        nuke path ever stops collapsing there, the
                        workload no longer exercises the difference and
                        the gate is meaningless)
+  churn_region_hit_at_1000
+                       at 1000 updates per 1k queries the region-scoped
+                       cache must keep a hit rate above `min`
 
 Exits nonzero listing every violated band. Timing bands are generous
 multiples (see the baseline's comment); hit rates are deterministic.
@@ -92,21 +95,30 @@ def main():
 
     with open(f"{art_dir}/BENCH_churn.json") as f:
         churn = json.load(f)
-    row = next((s for s in churn["series"]
-                if s["updates_per_kquery"] == 100), None)
-    if row is None:
-        check("churn_series", False, "no updates_per_kquery=100 row")
-    else:
+
+    def churn_row(rate):
+        row = next((s for s in churn["series"]
+                    if s["updates_per_kquery"] == rate), None)
+        if row is None:
+            check("churn_series", False, f"no updates_per_kquery={rate} row")
+        return row
+
+    def check_region_floor(label, row):
         region = row["region"]["hit_rate"]
+        check(label, region >= base[label]["min"],
+              f"{region:.4f}, floor {base[label]['min']:.2f}")
+
+    row = churn_row(100)
+    if row is not None:
+        check_region_floor("churn_region_hit_at_100", row)
         epoch = row["epoch"]["hit_rate"]
-        check("churn_region_hit_at_100",
-              region >= base["churn_region_hit_at_100"]["min"],
-              f"{region:.4f}, floor "
-              f"{base['churn_region_hit_at_100']['min']:.2f}")
         check("churn_epoch_hit_at_100",
               epoch <= base["churn_epoch_hit_at_100"]["max"],
               f"{epoch:.4f}, cap "
               f"{base['churn_epoch_hit_at_100']['max']:.2f}")
+    row = churn_row(1000)
+    if row is not None:
+        check_region_floor("churn_region_hit_at_1000", row)
 
     if failures:
         print(f"bench-gate: FAILED: {', '.join(failures)}")
