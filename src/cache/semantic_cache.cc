@@ -24,6 +24,26 @@ constexpr size_t kEntryOverhead = sizeof(void*) * 8 + 256;
 // occupancy at or below a quarter of it.
 constexpr size_t kCellCompactionMinCapacity = 64;
 
+// Cells per axis of both uniform grids over the universe.
+constexpr size_t kGridResolution = 64;
+
+size_t CellIndex(size_t cx, size_t cy) {
+  return cy * kGridResolution + cx;
+}
+
+// Grid column (or row) of coordinate `v` on an axis starting at `lo` with
+// length `extent`, clamped to the grid.
+size_t GridCell(double v, double lo, double extent) {
+  if (extent <= 0.0) return 0;
+  const double t = (v - lo) / extent * static_cast<double>(kGridResolution);
+  const auto c = static_cast<long long>(t);
+  if (c < 0) return 0;
+  if (c >= static_cast<long long>(kGridResolution)) {
+    return kGridResolution - 1;
+  }
+  return static_cast<size_t>(c);
+}
+
 size_t GeometryCharge(const std::vector<geo::Point>& nn_answers,
                       const std::vector<BisectorConstraint>& constraints,
                       const geo::RectMinusBoxes& window_region,
@@ -39,32 +59,18 @@ size_t GeometryCharge(const std::vector<geo::Point>& nn_answers,
 
 SemanticCache::SemanticCache(const geo::Rect& universe,
                              const CacheConfig& config)
-    : universe_(universe),
-      config_(config),
-      grid_(config.grid_resolution > 0 ? config.grid_resolution : 1) {
+    : universe_(universe), config_(config) {
   LBSQ_CHECK(!universe.IsEmpty());
-  cells_.resize(grid_ * grid_);
-  inval_cells_.resize(grid_ * grid_);
+  cells_.resize(kGridResolution * kGridResolution);
+  inval_cells_.resize(kGridResolution * kGridResolution);
 }
 
 size_t SemanticCache::CellX(double x) const {
-  const double w = universe_.width();
-  if (w <= 0.0) return 0;
-  const double t = (x - universe_.min_x) / w * static_cast<double>(grid_);
-  const auto c = static_cast<long long>(t);
-  if (c < 0) return 0;
-  if (c >= static_cast<long long>(grid_)) return grid_ - 1;
-  return static_cast<size_t>(c);
+  return GridCell(x, universe_.min_x, universe_.width());
 }
 
 size_t SemanticCache::CellY(double y) const {
-  const double h = universe_.height();
-  if (h <= 0.0) return 0;
-  const double t = (y - universe_.min_y) / h * static_cast<double>(grid_);
-  const auto c = static_cast<long long>(t);
-  if (c < 0) return 0;
-  if (c >= static_cast<long long>(grid_)) return grid_ - 1;
-  return static_cast<size_t>(c);
+  return GridCell(y, universe_.min_y, universe_.height());
 }
 
 bool SemanticCache::Covers(const Entry& entry, const geo::Point& p) {
@@ -208,7 +214,7 @@ geo::Rect SemanticCache::KillFootprint(const Entry& entry) const {
 
 bool SemanticCache::Lookup(Kind kind, double a, double b, const geo::Point& p,
                            CachedBytes* out) {
-  ++lookups_;
+  ++counters_.lookups;
   std::vector<uint64_t>& cell = cells_[CellIndex(CellX(p.x), CellY(p.y))];
   // First covering entry wins: any covering entry is an equally valid
   // answer for a client at p, so there is nothing to rank.
@@ -226,14 +232,14 @@ bool SemanticCache::Lookup(Kind kind, double a, double b, const geo::Point& p,
     if (entry_it->kind == kind && entry_it->param_a == a &&
         entry_it->param_b == b && Covers(*entry_it, p)) {
       entries_.splice(entries_.begin(), entries_, entry_it);  // touch
-      ++hits_;
-      hit_bytes_ += entry_it->bytes->size();
+      ++counters_.hits;
+      counters_.hit_bytes += entry_it->bytes->size();
       *out = entry_it->bytes;
       return true;
     }
     ++i;
   }
-  ++misses_;
+  ++counters_.misses;
   return false;
 }
 
@@ -260,7 +266,7 @@ void SemanticCache::Insert(Entry entry, const geo::Rect& bounds) {
   const geo::Rect clipped = bounds.Intersection(universe_);
   if (clipped.IsEmpty() || entry.charge > config_.max_bytes ||
       config_.max_entries == 0) {
-    ++rejected_;
+    ++counters_.rejected;
     return;
   }
   entry.bounds = clipped;
@@ -281,7 +287,7 @@ void SemanticCache::Insert(Entry entry, const geo::Rect& bounds) {
                    (entry.ix1 - entry.ix0 + 1) * (entry.iy1 - entry.iy0 + 1)) *
                   sizeof(uint64_t);
   if (entry.charge > config_.max_bytes) {
-    ++rejected_;
+    ++counters_.rejected;
     return;
   }
   entry.id = next_id_++;
@@ -290,7 +296,7 @@ void SemanticCache::Insert(Entry entry, const geo::Rect& bounds) {
   entries_.push_front(std::move(entry));
   index_.emplace(entries_.front().id, entries_.begin());
   AddToGrid(entries_.front());
-  ++inserts_;
+  ++counters_.inserts;
   EvictOverBudget();
 }
 
@@ -360,7 +366,7 @@ void SemanticCache::EraseFromCell(std::vector<uint64_t>& cell, uint64_t id) {
     // non-binding request. Live iterations index the cell vector object,
     // not its buffer, so reallocating here is safe.
     std::vector<uint64_t>(cell.begin(), cell.end()).swap(cell);
-    ++cell_compactions_;
+    ++counters_.cell_compactions;
   }
 }
 
@@ -385,13 +391,13 @@ void SemanticCache::RemoveEntry(EntryList::iterator it, RemoveCause cause) {
   entries_.erase(it);
   switch (cause) {
     case RemoveCause::kEvicted:
-      ++evictions_;
+      ++counters_.evictions;
       break;
     case RemoveCause::kStale:
-      ++stale_drops_;
+      ++counters_.stale_drops;
       break;
     case RemoveCause::kUpdate:
-      ++entries_invalidated_by_update_;
+      ++counters_.entries_invalidated_by_update;
       break;
   }
 }
@@ -437,7 +443,7 @@ size_t SemanticCache::InvalidateAt(const geo::Point& p, UpdateKind kind) {
 
 void SemanticCache::Invalidate() {
   ++epoch_;
-  ++epoch_invalidations_;
+  ++counters_.epoch_invalidations;
 }
 
 size_t SemanticCache::Scrub() {
@@ -462,27 +468,12 @@ void SemanticCache::Clear() {
 }
 
 CacheStats SemanticCache::stats() const {
-  CacheStats stats;
-  stats.lookups = lookups_;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.inserts = inserts_;
-  stats.evictions = evictions_;
-  stats.epoch_invalidations = epoch_invalidations_;
-  stats.entries_invalidated_by_update = entries_invalidated_by_update_;
-  stats.stale_drops = stale_drops_;
-  stats.rejected = rejected_;
-  stats.hit_bytes = hit_bytes_;
-  stats.cell_compactions = cell_compactions_;
+  CacheStats stats = counters_;
   stats.entries = entries_.size();
   stats.bytes = bytes_;
   return stats;
 }
 
-void SemanticCache::ResetCounters() {
-  lookups_ = hits_ = misses_ = inserts_ = evictions_ = 0;
-  epoch_invalidations_ = entries_invalidated_by_update_ = 0;
-  stale_drops_ = rejected_ = hit_bytes_ = cell_compactions_ = 0;
-}
+void SemanticCache::ResetCounters() { counters_ = CacheStats(); }
 
 }  // namespace lbsq::cache

@@ -65,8 +65,6 @@ struct CacheConfig {
   // (wire bytes + geometry payload + index bookkeeping).
   size_t max_entries = 4096;
   size_t max_bytes = 4u << 20;
-  // Uniform grid resolution (cells per axis) of the spatial index.
-  size_t grid_resolution = 64;
   // Serving layers: invalidate per update via InvalidateAt at the
   // update's point (core::Server::Insert/Delete); false forces the epoch
   // sledgehammer on every update — the pre-region-scoping behavior, kept
@@ -94,6 +92,24 @@ struct CacheStats {
   uint64_t cell_compactions = 0;  // grid cell lists shrunk after churn
   size_t entries = 0;
   size_t bytes = 0;
+
+  // Field-by-field sum, for aggregating several caches' stats.
+  CacheStats& operator+=(const CacheStats& o) {
+    lookups += o.lookups;
+    hits += o.hits;
+    misses += o.misses;
+    inserts += o.inserts;
+    evictions += o.evictions;
+    epoch_invalidations += o.epoch_invalidations;
+    entries_invalidated_by_update += o.entries_invalidated_by_update;
+    stale_drops += o.stale_drops;
+    rejected += o.rejected;
+    hit_bytes += o.hit_bytes;
+    cell_compactions += o.cell_compactions;
+    entries += o.entries;
+    bytes += o.bytes;
+    return *this;
+  }
 };
 
 // One bisector constraint of a k-NN validity cell: the position is valid
@@ -264,19 +280,17 @@ class SemanticCache {
   void RemoveEntry(EntryList::iterator it, RemoveCause cause);
   void EvictOverBudget();
 
-  size_t CellIndex(size_t cx, size_t cy) const { return cy * grid_ + cx; }
   size_t CellX(double x) const;
   size_t CellY(double y) const;
 
   geo::Rect universe_;
   CacheConfig config_;
-  size_t grid_;  // cells per axis (>= 1)
   uint64_t epoch_ = 0;
   uint64_t next_id_ = 0;
   size_t bytes_ = 0;
   EntryList entries_;
   std::unordered_map<uint64_t, EntryList::iterator> index_;
-  // Two parallel grids over the universe (grid_ * grid_ id lists each):
+  // Two parallel grids over the universe (64 x 64 id lists each):
   // cells_ indexes entries by their region bounds (lookup: which entries
   // might cover a query point), inval_cells_ by their kill footprint
   // (InvalidateAt: which entries might die from an update at a point).
@@ -285,18 +299,9 @@ class SemanticCache {
   std::vector<std::vector<uint64_t>> cells_;
   std::vector<std::vector<uint64_t>> inval_cells_;
 
-  // Counters (see CacheStats).
-  uint64_t lookups_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t inserts_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t epoch_invalidations_ = 0;
-  uint64_t entries_invalidated_by_update_ = 0;
-  uint64_t stale_drops_ = 0;
-  uint64_t rejected_ = 0;
-  uint64_t hit_bytes_ = 0;
-  uint64_t cell_compactions_ = 0;
+  // Cumulative counters (see CacheStats); entries and bytes stay zero
+  // here, stats() fills them from the live occupancy.
+  CacheStats counters_;
 };
 
 }  // namespace lbsq::cache

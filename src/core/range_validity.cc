@@ -10,6 +10,13 @@ namespace lbsq::core {
 
 namespace {
 
+// Caps the region at this many radii around the focus (analogous to the
+// window engine's cap; bounds the cost of empty-result queries).
+constexpr double kMaxExtentFactor = 16.0;
+// Vertices of the inscribed polygons approximating inner arcs in the
+// conservative region.
+constexpr size_t kArcVertices = 16;
+
 // Per-thread SoA scratch for the distance filters below. This TU is
 // compiled with LBSQ_SIMD_COMPILE_OPTIONS (see src/core/CMakeLists.txt):
 // the mask pass is a branch-free map over contiguous coordinate arrays
@@ -60,30 +67,16 @@ struct DistScratch {
 
 RangeValidityEngine::RangeValidityEngine(rtree::RTree* tree,
                                          const geo::Rect& universe)
-    : RangeValidityEngine(tree, universe, Options()) {}
-
-RangeValidityEngine::RangeValidityEngine(rtree::RTree* tree,
-                                         const geo::Rect& universe,
-                                         const Options& options)
-    : owned_(RTreeBackend(tree)), universe_(universe), options_(options) {
+    : owned_(RTreeBackend(tree)), universe_(universe) {
   LBSQ_CHECK(tree != nullptr);
   LBSQ_CHECK(!universe.IsEmpty());
-  LBSQ_CHECK(options.max_extent_factor >= 1.0);
-  LBSQ_CHECK(options.arc_vertices >= 4);
 }
 
 RangeValidityEngine::RangeValidityEngine(SpatialBackend* backend,
                                          const geo::Rect& universe)
-    : RangeValidityEngine(backend, universe, Options()) {}
-
-RangeValidityEngine::RangeValidityEngine(SpatialBackend* backend,
-                                         const geo::Rect& universe,
-                                         const Options& options)
-    : external_(backend), universe_(universe), options_(options) {
+    : external_(backend), universe_(universe) {
   LBSQ_CHECK(backend != nullptr);
   LBSQ_CHECK(!universe.IsEmpty());
-  LBSQ_CHECK(options.max_extent_factor >= 1.0);
-  LBSQ_CHECK(options.arc_vertices >= 4);
 }
 
 RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
@@ -117,7 +110,7 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
   // Bounding rectangle of the region: inside every inner disk the focus
   // can stray at most 2 * radius from its start (triangle inequality),
   // and the engine caps empty-result regions like the window engine.
-  const double cap = options_.max_extent_factor * radius;
+  const double cap = kMaxExtentFactor * radius;
   const double reach = result.empty() ? cap : 2.0 * radius;
   const geo::Rect bounds = universe_.Intersection(
       geo::Rect::Centered(focus, std::min(cap, reach), std::min(cap, reach)));
@@ -156,7 +149,7 @@ RangeValidityResult RangeValidityEngine::Query(const geo::Point& focus,
   std::vector<size_t> cut_inner;
   std::vector<size_t> cut_outer;
   geo::ConvexPolygon conservative = region.ConservativePolygon(
-      focus, options_.arc_vertices, &cut_inner, &cut_outer);
+      focus, kArcVertices, &cut_inner, &cut_outer);
 
   std::vector<rtree::DataEntry> inner_influencers;
   inner_influencers.reserve(cut_inner.size());

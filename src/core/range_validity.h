@@ -78,15 +78,6 @@ class RangeValidityResult {
 
 class RangeValidityEngine {
  public:
-  struct Options {
-    // Caps the region at this many radii around the focus (analogous to
-    // the window engine's cap; bounds the cost of empty-result queries).
-    double max_extent_factor = 16.0;
-    // Vertices of the inscribed polygons approximating inner arcs in the
-    // conservative region.
-    size_t arc_vertices = 16;
-  };
-
   struct Stats {
     uint64_t result_node_accesses = 0;
     uint64_t influence_node_accesses = 0;
@@ -94,12 +85,8 @@ class RangeValidityEngine {
   };
 
   RangeValidityEngine(rtree::RTree* tree, const geo::Rect& universe);
-  RangeValidityEngine(rtree::RTree* tree, const geo::Rect& universe,
-                      const Options& options);
   // Runs over any SpatialBackend (the backend outlives the engine).
   RangeValidityEngine(SpatialBackend* backend, const geo::Rect& universe);
-  RangeValidityEngine(SpatialBackend* backend, const geo::Rect& universe,
-                      const Options& options);
 
   // All objects within distance `radius` of `focus` (closed), plus the
   // validity region of that answer.
@@ -116,7 +103,6 @@ class RangeValidityEngine {
   std::optional<RTreeBackend> owned_;   // set by the RTree* constructors
   SpatialBackend* external_ = nullptr;  // set by the backend constructors
   geo::Rect universe_;
-  Options options_;
   Stats stats_;
 };
 

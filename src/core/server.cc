@@ -245,24 +245,10 @@ void Server::EnableCache(const cache::CacheConfig& config) {
 
 cache::CacheStats Server::cache_stats() const {
   cache::CacheStats total;
-  auto add = [&total](const cache::SemanticCache& c) {
-    const cache::CacheStats s = c.stats();
-    total.lookups += s.lookups;
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.inserts += s.inserts;
-    total.evictions += s.evictions;
-    total.epoch_invalidations += s.epoch_invalidations;
-    total.entries_invalidated_by_update += s.entries_invalidated_by_update;
-    total.stale_drops += s.stale_drops;
-    total.rejected += s.rejected;
-    total.hit_bytes += s.hit_bytes;
-    total.cell_compactions += s.cell_compactions;
-    total.entries += s.entries;
-    total.bytes += s.bytes;
-  };
-  for (const std::unique_ptr<cache::SemanticCache>& c : caches_) add(*c);
-  if (boundary_cache_) add(*boundary_cache_);
+  for (const std::unique_ptr<cache::SemanticCache>& c : caches_) {
+    total += c->stats();
+  }
+  if (boundary_cache_) total += boundary_cache_->stats();
   return total;
 }
 

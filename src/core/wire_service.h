@@ -23,12 +23,16 @@ namespace lbsq::core {
 // reports a single implicit fragment via ServiceInfo::fragments being
 // empty; a partitioned server reports one entry per fragment.
 struct FragmentStat {
-  geo::Rect mbr;  // conservative bounding box of the fragment's points
+  // Conservative bounding box of the fragment's points; empty iff the
+  // fragment holds no points.
+  geo::Rect mbr;
   uint64_t points = 0;         // points currently owned by the fragment
   uint64_t cache_lookups = 0;  // semantic-cache probes routed here
   uint64_t cache_hits = 0;     // of which answered from the cache
 };
 
+// A server's self-description; also the payload of the wire's kInfo
+// reply (net::EncodeServerInfo).
 struct ServiceInfo {
   geo::Rect universe;
   uint64_t points = 0;

@@ -18,6 +18,15 @@ namespace lbsq::net {
 
 namespace {
 
+constexpr int kListenBacklog = 64;
+// Pending-write budget per connection: above this the loop stops reading
+// from the peer until its replies drain (backpressure).
+constexpr size_t kWriteBufferLimit = 256u << 10;
+// Size of the loop's one receive buffer (one recv call's worth).
+constexpr size_t kReadChunkBytes = 64u << 10;
+// Buffered-input bound for one readable event (see HandleReadable).
+constexpr size_t kReadBurstLimit = 256u << 10;
+
 Status Errno(const char* what) {
   return Status::Unavailable(std::string(what) + ": " +
                              std::strerror(errno));
@@ -32,8 +41,8 @@ void SetNoDelay(int fd) {
 }  // namespace
 
 struct EventLoop::Connection final : ReplySink {
-  Connection(int fd_in, uint64_t id_in, size_t max_payload, NetStats* stats_in)
-      : fd(fd_in), id(id_in), decoder(max_payload), stats(stats_in) {}
+  Connection(int fd_in, uint64_t id_in, NetStats* stats_in)
+      : fd(fd_in), id(id_in), stats(stats_in) {}
 
   size_t pending_write() const { return out.pending(); }
 
@@ -79,7 +88,7 @@ struct EventLoop::Connection final : ReplySink {
 };
 
 EventLoop::EventLoop(FrameHandler* handler, const NetOptions& options)
-    : handler_(handler), options_(options) {}
+    : handler_(handler), options_(options), read_buffer_(kReadChunkBytes) {}
 
 EventLoop::~EventLoop() {
   for (auto& conn : connections_) {
@@ -107,7 +116,7 @@ Status EventLoop::Listen() {
              sizeof(addr)) != 0) {
     return Errno("bind");
   }
-  if (::listen(listen_fd_, options_.backlog) != 0) return Errno("listen");
+  if (::listen(listen_fd_, kListenBacklog) != 0) return Errno("listen");
 
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
@@ -178,8 +187,8 @@ void EventLoop::AcceptPending(Clock::time_point now) {
     }
     SetNoDelay(fd);
     ++stats_.accepts;
-    auto conn = std::make_unique<Connection>(
-        fd, next_connection_id_++, options_.max_payload_bytes, &stats_);
+    auto conn =
+        std::make_unique<Connection>(fd, next_connection_id_++, &stats_);
     conn->last_activity = now;
     connections_.push_back(std::move(conn));
   }
@@ -206,18 +215,18 @@ void EventLoop::DispatchFrames(Connection* conn) {
 }
 
 bool EventLoop::HandleReadable(Connection* conn, Clock::time_point now) {
-  std::vector<uint8_t> chunk(options_.read_chunk_bytes);
   bool got_bytes = false;
   for (;;) {
-    const ssize_t n = ::recv(conn->fd, chunk.data(), chunk.size(), 0);
+    const ssize_t n =
+        ::recv(conn->fd, read_buffer_.data(), read_buffer_.size(), 0);
     if (n > 0) {
       stats_.bytes_in += static_cast<uint64_t>(n);
-      conn->decoder.Feed(chunk.data(), static_cast<size_t>(n));
+      conn->decoder.Feed(read_buffer_.data(), static_cast<size_t>(n));
       got_bytes = true;
-      if (static_cast<size_t>(n) < chunk.size()) break;
+      if (static_cast<size_t>(n) < read_buffer_.size()) break;
       // A full chunk: more may be waiting, but cap the time spent on one
       // connection so a firehose peer cannot starve the others.
-      if (conn->decoder.buffered() >= options_.write_buffer_limit) break;
+      if (conn->decoder.buffered() >= kReadBurstLimit) break;
       continue;
     }
     if (n == 0) {
@@ -375,7 +384,7 @@ uint64_t EventLoop::Run() {
     for (const auto& conn : connections_) {
       short events = 0;
       const bool backpressured =
-          conn->pending_write() > options_.write_buffer_limit;
+          conn->pending_write() > kWriteBufferLimit;
       if (!draining_ && !conn->close_after_flush && !backpressured) {
         events |= POLLIN;
       }

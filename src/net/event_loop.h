@@ -21,7 +21,8 @@
 //   reading --frame--> handler --reply bytes--> write buffer --> socket
 //      ^                                             |
 //      +--------- backpressure: POLLIN off while ----+
-//                 pending writes exceed write_buffer_limit
+//                 pending writes exceed the write-buffer limit
+//                 (a per-connection constant, 256 KiB)
 //
 // Protections against misbehaving peers, all counted in NetStats:
 //   * framing errors (bad magic/version, oversized length) latch the
@@ -46,14 +47,7 @@ struct NetOptions {
   // 0 = ephemeral: the OS picks a free port, read it back from port().
   // (Tests always use 0 so parallel ctest runs cannot collide.)
   uint16_t port = 0;
-  int backlog = 64;
   size_t max_connections = 256;
-  // Pending-write budget per connection: above this the loop stops
-  // reading from the peer until the backlog drains (backpressure).
-  size_t write_buffer_limit = 256u << 10;
-  size_t read_chunk_bytes = 64u << 10;
-  // Frame payload cap fed to every connection's FrameDecoder.
-  size_t max_payload_bytes = kMaxPayloadBytes;
   int idle_timeout_ms = 30000;
   int partial_frame_timeout_ms = 5000;
   int drain_timeout_ms = 5000;
@@ -179,6 +173,9 @@ class EventLoop {
   Clock::time_point drain_deadline_{};
 
   std::vector<std::unique_ptr<Connection>> connections_;
+  // One receive buffer for every connection's reads: HandleReadable
+  // feeds each chunk to the connection's decoder before the next recv.
+  std::vector<uint8_t> read_buffer_;
   uint64_t next_connection_id_ = 1;
   // Last OnTick() answer: ms until the handler's next scheduled work.
   int tick_hint_ms_ = -1;

@@ -10,6 +10,11 @@ namespace lbsq::rtree {
 
 namespace {
 
+// R* parameters: minimum fill ratio m/M and the share of entries removed
+// by forced reinsertion on first overflow per level.
+constexpr double kMinFill = 0.4;
+constexpr double kReinsertFraction = 0.3;
+
 // Area enlargement of `mbr` needed to include `r`.
 double Enlargement(const geo::Rect& mbr, const geo::Rect& r) {
   return mbr.ExpandedToInclude(r).Area() - mbr.Area();
@@ -42,9 +47,6 @@ RTree::RTree(storage::PageStore* disk, size_t buffer_capacity,
              options_.leaf_capacity <= kLeafCapacity);
   LBSQ_CHECK(options_.internal_capacity >= 2 &&
              options_.internal_capacity <= kInternalCapacity);
-  LBSQ_CHECK(options_.min_fill > 0.0 && options_.min_fill <= 0.5);
-  LBSQ_CHECK(options_.reinsert_fraction >= 0.0 &&
-             options_.reinsert_fraction < 1.0);
   Node root;
   root.level = 0;
   root_ = AllocateNode(root);
@@ -108,7 +110,7 @@ storage::PageId RTree::AllocateNode(const Node& node) {
 
 uint32_t RTree::MinFillFor(const Node& node) const {
   const uint32_t cap = CapacityFor(node);
-  const auto m = static_cast<uint32_t>(options_.min_fill * cap);
+  const auto m = static_cast<uint32_t>(kMinFill * cap);
   return std::max<uint32_t>(1, m);
 }
 
@@ -236,8 +238,7 @@ std::optional<RTree::SplitResult> RTree::InsertRecursive(
 
   // Overflow treatment: forced reinsert once per level per top-level
   // insert (never at the root), otherwise split.
-  if (page_id != root_ && options_.reinsert_fraction > 0.0 &&
-      !reinserted_levels_[node.level]) {
+  if (page_id != root_ && !reinserted_levels_[node.level]) {
     reinserted_levels_[node.level] = true;
     *self_mbr = ForcedReinsert(page_id, std::move(node));
     return std::nullopt;
@@ -249,7 +250,7 @@ geo::Rect RTree::ForcedReinsert(storage::PageId page_id, Node node) {
   const geo::Point center = node.ComputeMbr().Center();
   const size_t count = node.size();
   const auto remove_count = std::max<size_t>(
-      1, static_cast<size_t>(options_.reinsert_fraction * count));
+      1, static_cast<size_t>(kReinsertFraction * count));
 
   // Order entry indices by distance of their (MBR) center from the node
   // center, farthest first.
@@ -299,7 +300,7 @@ RTree::SplitResult RTree::SplitNode(storage::PageId page_id, Node node) {
   const uint32_t cap = CapacityFor(node);
   LBSQ_CHECK(count == cap + 1);
   const auto m =
-      std::max<size_t>(1, static_cast<size_t>(options_.min_fill * cap));
+      std::max<size_t>(1, static_cast<size_t>(kMinFill * cap));
 
   std::vector<geo::Rect> mbrs(count);
   for (size_t i = 0; i < count; ++i) {

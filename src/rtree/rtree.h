@@ -31,10 +31,6 @@ class RTree {
     // Tests shrink them to exercise deep trees on small datasets.
     uint32_t leaf_capacity = kLeafCapacity;
     uint32_t internal_capacity = kInternalCapacity;
-    // R* parameters: minimum fill ratio m/M and the share of entries
-    // removed by forced reinsertion on first overflow per level.
-    double min_fill = 0.4;
-    double reinsert_fraction = 0.3;
   };
 
   // Identity of a tree inside a page store, for persistence: save meta()
@@ -176,7 +172,7 @@ class RTree {
   // R* ChooseSubtree among `node`'s children for an entry with MBR `r`.
   size_t ChooseSubtree(const Node& node, const geo::Rect& r);
 
-  // R* forced reinsert: removes the reinsert_fraction entries of `node`
+  // R* forced reinsert: removes a fixed share of the entries of `node`
   // (at page_id) farthest from its MBR center and re-inserts them from the
   // root. Returns the node's new MBR.
   geo::Rect ForcedReinsert(storage::PageId page_id, Node node);

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/nn_validity.h"
 #include "core/window_validity.h"
+#include "net/frame.h"
 #include "rtree/knn.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
@@ -62,10 +63,15 @@ TEST(DegenerateDataTest, ManyDuplicatesInTree) {
   Rng rng(7);
   for (int i = 0; i < 50; ++i) {
     const geo::Point q{rng.NextDouble(), rng.NextDouble()};
-    const auto got = rtree::KnnBestFirst(*fx.tree, q, 4);
-    const auto expected = BruteForceKnn(data, q, 4);
-    for (size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(got[j].entry.id, expected[j].entry.id);
+    // k = 4 and the largest k the wire accepts: every distance is tied
+    // with a duplicate, so the order rests on the id tie rule.
+    for (const size_t k : {size_t{4}, size_t{net::kMaxRequestK}}) {
+      const auto got = rtree::KnnBestFirst(*fx.tree, q, k);
+      const auto expected = BruteForceKnn(data, q, k);
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t j = 0; j < expected.size(); ++j) {
+        EXPECT_EQ(got[j].entry.id, expected[j].entry.id) << "k " << k;
+      }
     }
   }
 }

@@ -149,18 +149,6 @@ Script MakeScript() {
   return s;
 }
 
-std::vector<uint8_t> InfoBytes(const core::ServiceInfo& snapshot) {
-  net::ServerInfo info;
-  info.universe = snapshot.universe;
-  info.points = snapshot.points;
-  info.cache_enabled = snapshot.cache_enabled;
-  for (const core::FragmentStat& f : snapshot.fragments) {
-    info.fragments.push_back(
-        net::FragmentInfo{f.mbr, f.points, f.cache_lookups, f.cache_hits});
-  }
-  return net::EncodeServerInfo(info);
-}
-
 // Replays the script through `server`, applying updates through its
 // Insert/Delete; returns the corpus lines the run produces.
 std::vector<std::string> Replay(const std::string& config,
@@ -208,7 +196,7 @@ std::vector<std::string> Replay(const std::string& config,
     }
   }
   lines.push_back("info " + config + " " +
-                  Hash(Fnv1a(InfoBytes(server.info()))));
+                  Hash(Fnv1a(net::EncodeServerInfo(server.info()))));
   return lines;
 }
 

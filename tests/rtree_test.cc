@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "net/frame.h"
 #include "rtree/knn.h"
 #include "rtree/node.h"
 #include "rtree/rtree.h"
@@ -245,7 +246,8 @@ INSTANTIATE_TEST_SUITE_P(
                       KnnCase{500, 10, 4}, KnnCase{2000, 1, 5},
                       KnnCase{2000, 50, 6}, KnnCase{2000, 100, 7},
                       KnnCase{300, 300, 8},   // k == n
-                      KnnCase{300, 400, 9})); // k > n
+                      KnnCase{300, 400, 9},   // k > n
+                      KnnCase{2000, net::kMaxRequestK, 10}));  // wire max
 
 TEST(KnnTest, BestFirstNeverReadsMoreNodesThanDepthFirst) {
   const auto dataset = MakeUnitUniform(3000, 77);

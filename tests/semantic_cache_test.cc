@@ -350,14 +350,16 @@ TEST(SemanticCacheTest, InvalidateAtOutsideUniverseFallsBackToEpoch) {
 
 TEST(SemanticCacheTest, CellCompactionReclaimsDeadCapacity) {
   CacheConfig config;
-  config.grid_resolution = 1;  // every entry lands in the single cell
   config.max_entries = 1u << 12;
   SemanticCache cache(kUnit, config);
+  // The 64 x 64 grid over the unit square has cells 1/64 = 0.015625
+  // wide; every region below lies inside cell [0.5, 0.515625)^2, so all
+  // entries share one lookup cell.
   constexpr int kEntries = 100;
   for (int i = 0; i < kEntries; ++i) {
-    const double lo = 0.001 * i;
-    InsertWindowRect(&cache, 0.05, 0.05,
-                     geo::Rect(lo, lo, lo + 0.05, lo + 0.05),
+    const double lo = 0.5005 + 0.0001 * i;
+    InsertWindowRect(&cache, 0.001, 0.001,
+                     geo::Rect(lo, lo, lo + 0.002, lo + 0.002),
                      MakeBytes(8, static_cast<uint8_t>(i)));
   }
   ASSERT_EQ(cache.entries(), static_cast<size_t>(kEntries));

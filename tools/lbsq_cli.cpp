@@ -530,7 +530,7 @@ int CmdInfo(const ArgMap& args) {
               info->fragments.empty() ? 1 : info->fragments.size(),
               info->fragments.size() > 1 ? "s" : "");
   for (size_t f = 0; f < info->fragments.size(); ++f) {
-    const net::FragmentInfo& frag = info->fragments[f];
+    const core::FragmentStat& frag = info->fragments[f];
     const double rate =
         frag.cache_lookups == 0
             ? 0.0
