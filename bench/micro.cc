@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): wall-clock latency of the core
 // operations — plain k-NN search, TPNN, full location-based NN and window
-// queries, the [SR01] client step and the Voronoi-index query. These are
-// not paper figures (the paper reports I/O counts); they document the CPU
-// cost of the implementation.
+// queries, a server-side NN cache miss, the [SR01] client step and the
+// Voronoi-index query. These are not paper figures (the paper reports I/O
+// counts); they document the CPU cost of the implementation.
 
 #include <algorithm>
 #include <cstring>
@@ -17,6 +17,7 @@
 #include "cache/semantic_cache.h"
 #include "core/nn_validity.h"
 #include "core/range_validity.h"
+#include "core/server.h"
 #include "core/window_validity.h"
 #include "rtree/knn.h"
 #include "tp/tpnn.h"
@@ -125,6 +126,23 @@ void BM_NnValidityQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NnValidityQuery)->Arg(1)->Arg(10)->Apply(MinOfRounds);
+
+// A cache miss on the serving path: core::Server with its cache off, so
+// every query runs the NN engine and the wire encoder. Unlike
+// BM_NnValidityQuery (the undecorated engine), step (ii) here is answered
+// by the server's candidate-set decorator (core/local_tp_backend.h).
+void BM_ServerNnMiss(benchmark::State& state) {
+  auto& wb = SharedBench();
+  const auto& queries = SharedQueries();
+  core::Server server(wb.tree.get(), wb.dataset.universe);
+  const auto k = static_cast<size_t>(state.range(0));
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        server.NnQueryWireShared(queries[i++ % queries.size()], k));
+  }
+}
+BENCHMARK(BM_ServerNnMiss)->Arg(1)->Arg(10)->Apply(MinOfRounds);
 
 void BM_WindowValidityQuery(benchmark::State& state) {
   auto& wb = SharedBench();

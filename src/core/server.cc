@@ -10,13 +10,15 @@ namespace lbsq::core {
 Server::Server(rtree::RTree* tree, const geo::Rect& universe)
     : owned_backend_(std::make_unique<RTreeBackend>(tree)),
       backend_(owned_backend_.get()),
-      nn_engine_(backend_, universe),
+      nn_backend_(backend_),
+      nn_engine_(&nn_backend_, universe),
       window_engine_(backend_, universe),
       range_engine_(backend_, universe) {}
 
 Server::Server(SpatialBackend* backend, const geo::Rect& universe)
     : backend_(backend),
-      nn_engine_(backend, universe),
+      nn_backend_(backend),
+      nn_engine_(&nn_backend_, universe),
       window_engine_(backend, universe),
       range_engine_(backend, universe) {}
 
@@ -182,9 +184,9 @@ StatusOr<Result> Server::RunChecked(const Fn& fn) {
     Status error = storage::PageStore::TakeReadError();
     if (error.ok()) return result;
     // A failed fetch may have parked a substituted zero page in a buffer
-    // pool; purge it so neither the retry nor a later query silently
-    // serves it as a buffer hit.
-    backend_->DropBuffers();
+    // pool; purge it, and the NN candidates that may have been read from
+    // it, so neither the retry nor a later query silently serves it.
+    nn_backend_.DropBuffers();
     if (!IsRetryable(error) || attempt >= max_query_retries_) {
       ++query_errors_;
       return error;
@@ -212,14 +214,14 @@ StatusOr<Server::WireBytes> Server::RangeQueryWireShared(
 
 void Server::Insert(const geo::Point& p, rtree::ObjectId id) {
   SyncCacheEpoch();
-  backend_->Insert(p, id);
+  nn_backend_.Insert(p, id);
   KillCachedAt(p, cache::UpdateKind::kInsert);
   cache_data_epoch_ = backend_->update_epoch();
 }
 
 bool Server::Delete(const geo::Point& p, rtree::ObjectId id) {
   SyncCacheEpoch();
-  if (!backend_->Delete(p, id)) return false;
+  if (!nn_backend_.Delete(p, id)) return false;
   KillCachedAt(p, cache::UpdateKind::kDelete);
   cache_data_epoch_ = backend_->update_epoch();
   return true;

@@ -9,6 +9,7 @@
 
 #include "cache/semantic_cache.h"
 #include "common/status.h"
+#include "core/local_tp_backend.h"
 #include "core/nn_validity.h"
 #include "core/range_validity.h"
 #include "core/spatial_backend.h"
@@ -218,6 +219,10 @@ class Server : public WireService {
 
   std::unique_ptr<RTreeBackend> owned_backend_;  // set by the tree ctor
   SpatialBackend* backend_;
+  // The NN engine's view of backend_: step (ii) answered from each
+  // query's own nearest neighbours (local_tp_backend.h). Buffer drops and
+  // updates go through it so its candidates never outlive them.
+  LocalTpBackend nn_backend_;
   NnValidityEngine nn_engine_;
   WindowValidityEngine window_engine_;
   RangeValidityEngine range_engine_;

@@ -1,8 +1,8 @@
 #include "tp/influence.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <vector>
 
 #include "common/check.h"
 
@@ -67,23 +67,35 @@ double NodeInfluenceLowerBound(const geo::Point& q, const geo::Vec2& l,
   const double qo2 = geo::SquaredDistance(q, o);
   const geo::Vec2 q_minus_o = q - o;
 
-  // Breakpoints (slab crossings) at t > 0.
-  std::vector<double> cuts = {0.0};
-  auto add_cut = [&cuts](double bound, double origin, double speed) {
+  // Breakpoints (slab crossings) at t > 0: t = 0 plus at most one per
+  // rectangle edge. A fixed array, not a vector: the tree TP searches
+  // evaluate this bound once per child entry.
+  std::array<double, 5> cuts;
+  size_t num_cuts = 0;
+  cuts[num_cuts++] = 0.0;
+  auto add_cut = [&](double bound, double origin, double speed) {
     if (std::abs(speed) < kEps) return;
     const double t = (bound - origin) / speed;
-    if (t > 0.0 && std::isfinite(t)) cuts.push_back(t);
+    if (t > 0.0 && std::isfinite(t)) cuts[num_cuts++] = t;
   };
   add_cut(e.min_x, q.x, l.dx);
   add_cut(e.max_x, q.x, l.dx);
   add_cut(e.min_y, q.y, l.dy);
   add_cut(e.max_y, q.y, l.dy);
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  // Insertion sort: GCC's std::sort over a fixed array this small trips
+  // -Warray-bounds. The sorted order of finite values is unique, so the
+  // breakpoints are the same whatever sorts them.
+  for (size_t i = 1; i < num_cuts; ++i) {
+    for (size_t j = i; j > 0 && cuts[j] < cuts[j - 1]; --j) {
+      std::swap(cuts[j], cuts[j - 1]);
+    }
+  }
+  num_cuts = static_cast<size_t>(
+      std::unique(cuts.begin(), cuts.begin() + num_cuts) - cuts.begin());
 
-  for (size_t i = 0; i < cuts.size(); ++i) {
+  for (size_t i = 0; i < num_cuts; ++i) {
     const double lo = cuts[i];
-    const bool last = i + 1 == cuts.size();
+    const bool last = i + 1 == num_cuts;
     const double hi = last ? kNever : cuts[i + 1];
     // Classify the clamp pattern at a probe inside the interval.
     const double probe = last ? lo + 1.0 : 0.5 * (lo + hi);

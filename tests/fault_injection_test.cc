@@ -16,6 +16,8 @@
 
 #include "cache/semantic_cache.h"
 #include "common/status.h"
+#include "core/local_tp_backend.h"
+#include "core/spatial_backend.h"
 #include "core/server.h"
 #include "core/wire_format.h"
 #include "geometry/rect.h"
@@ -25,6 +27,8 @@
 #include "storage/checksummed_page_store.h"
 #include "storage/fault_injecting_page_store.h"
 #include "storage/page_manager.h"
+#include "storage/page_store.h"
+#include "tp/tpnn.h"
 
 namespace lbsq {
 namespace {
@@ -404,6 +408,109 @@ TEST_F(FaultInjectionTest, RouterRetriesTransientFaultsAndSurfacesCorruption) {
   const size_t corrupt_errors = run(rotten, rotten_server, StatusCode::kDataLoss);
   EXPECT_GT(corrupt_errors, 0u);
   EXPECT_LT(corrupt_errors, queries.size());
+}
+
+
+// Forwards to one tree, but runs the first Knn that asks for more than
+// `wide` neighbours (the NN decorator's widened candidate fetch) with
+// every page read failing. Only the pages of the `wide` nearest are
+// buffered beforehand, so the fetch comes back partial: the pages it
+// needs beyond them are substituted zero pages.
+class FaultOnWideKnn final : public core::SpatialBackend {
+ public:
+  FaultOnWideKnn(rtree::RTree* tree, storage::FaultInjectingPageStore* faulty,
+                 size_t wide)
+      : inner_(tree), faulty_(faulty), wide_(wide) {}
+
+  size_t size() const override { return inner_.size(); }
+  uint64_t node_accesses() const override { return inner_.node_accesses(); }
+  uint64_t page_accesses() const override { return inner_.page_accesses(); }
+  std::vector<rtree::Neighbor> Knn(const geo::Point& q, size_t k) override {
+    if (k <= wide_ || fired_) return inner_.Knn(q, k);
+    fired_ = true;
+    inner_.DropBuffers();
+    inner_.Knn(q, wide_);
+    faulty_->arm();
+    std::vector<rtree::Neighbor> out = inner_.Knn(q, k);
+    faulty_->disarm();
+    faulted_size_ = out.size();
+    return out;
+  }
+  void WindowQuery(const geo::Rect& w,
+                   std::vector<rtree::DataEntry>* out) override {
+    inner_.WindowQuery(w, out);
+  }
+  tp::TpnnResult Tpnn(const geo::Point& q, const geo::Vec2& l,
+                      const geo::Point& o, rtree::ObjectId o_id) override {
+    return inner_.Tpnn(q, l, o, o_id);
+  }
+  tp::TpknnResult Tpknn(const geo::Point& q, const geo::Vec2& l,
+                        const std::vector<rtree::Neighbor>& answers) override {
+    return inner_.Tpknn(q, l, answers);
+  }
+  void DropBuffers() override { inner_.DropBuffers(); }
+
+  bool fired() const { return fired_; }
+  size_t faulted_size() const { return faulted_size_; }
+
+ private:
+  core::RTreeBackend inner_;
+  storage::FaultInjectingPageStore* faulty_;
+  size_t wide_;
+  bool fired_ = false;
+  size_t faulted_size_ = 0;
+};
+
+// A transient fault during the NN decorator's widened fetch: the checked
+// retry must serve bytes identical to a fault-free run, and candidates
+// fetched before the buffer drop must never answer a TP query after it.
+TEST_F(FaultInjectionTest, FaultDuringWidenedCandidateFetchRetriesClean) {
+  storage::FaultInjectingPageStore::Options options;
+  options.seed = 83;
+  options.read_fault_probability = 1.0;
+  BuildStack(options);
+  const geo::Point q(0.37, 0.61);
+  // At k = 100 the first fetch holds only the answers, so the first
+  // TPkNN always widens.
+  const size_t k = 100;
+  core::Server clean(tree_.get(), universe_);
+  const std::vector<uint8_t> want = *clean.NnQueryWireShared(q, k).value();
+
+  FaultOnWideKnn backend(tree_.get(), faulty_.get(), k);
+  core::Server server(&backend, universe_);
+  const StatusOr<core::Server::WireBytes> got = server.NnQueryWireShared(q, k);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(**got, want);
+  EXPECT_TRUE(backend.fired());
+  EXPECT_GT(faulty_->injected_read_faults(), 0u);
+  EXPECT_EQ(server.query_retries(), 1u);
+  EXPECT_EQ(server.query_errors(), 0u);
+
+  // The decorator on its own: the faulted widening is not held, and
+  // after the drop a TP query at the same point goes to the inner
+  // backend rather than to anything fetched before it.
+  FaultOnWideKnn again(tree_.get(), faulty_.get(), k);
+  core::LocalTpBackend local(&again);
+  const geo::Vec2 l(0.6, -0.8);
+  storage::PageStore::ClearReadError();
+  const std::vector<rtree::Neighbor> answers = local.Knn(q, k);
+  local.Tpknn(q, l, answers);
+  EXPECT_TRUE(again.fired());
+  // The faulted fetch returned candidates beyond the answers, which the
+  // decorator could have answered from had it held them.
+  EXPECT_GT(again.faulted_size(), k);
+  EXPECT_FALSE(storage::PageStore::TakeReadError().ok());
+  EXPECT_EQ(local.held(), 0u);
+  local.DropBuffers();
+  const uint64_t unheld = local.stats().unheld_fallbacks;
+  const tp::TpknnResult retried = local.Tpknn(q, l, answers);
+  EXPECT_TRUE(storage::PageStore::PendingReadError().ok());
+  EXPECT_EQ(local.stats().unheld_fallbacks, unheld + 1);
+  const tp::TpknnResult truth = tp::Tpknn(*tree_, q, l, answers);
+  EXPECT_EQ(retried.found, truth.found);
+  EXPECT_EQ(retried.incoming.id, truth.incoming.id);
+  EXPECT_EQ(retried.displaced.id, truth.displaced.id);
+  EXPECT_EQ(retried.time, truth.time);
 }
 
 }  // namespace

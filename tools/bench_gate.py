@@ -13,6 +13,9 @@ in the baseline file:
   window_validity_query / range_validity_query
                        same band shape for the full window/range
                        validity-region engine queries (min-of-repeats)
+  server_nn_miss_1     same band shape for a k=1 NN cache miss through
+                       core::Server (BM_ServerNnMiss/1, step (ii) from
+                       the query's own nearest neighbours)
   net_cache_qps        the loadgen's cache-on end-to-end q/s must stay
                        above value * min_ratio
   server_qps           core::Server's serial q/s on throughput's mixed
@@ -76,6 +79,7 @@ def main():
     check_micro("knn_best_first_100", "BM_KnnBestFirst/100/")
     check_micro("window_validity_query", "BM_WindowValidityQuery/")
     check_micro("range_validity_query", "BM_RangeValidityQuery/")
+    check_micro("server_nn_miss_1", "BM_ServerNnMiss/1/")
 
     with open(f"{art_dir}/BENCH_net_loadgen.json") as f:
         loadgen = json.load(f)
