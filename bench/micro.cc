@@ -1,8 +1,10 @@
 // Micro-benchmarks (google-benchmark): wall-clock latency of the core
 // operations — plain k-NN search, TPNN, full location-based NN and window
 // queries, a server-side NN cache miss, the [SR01] client step and the
-// Voronoi-index query. These are not paper figures (the paper reports I/O
-// counts); they document the CPU cost of the implementation.
+// Voronoi-index query — and of building the index (one STR bulk load,
+// and a 4-fragment PartitionedServer). These are not paper figures (the
+// paper reports I/O counts); they document the CPU cost of the
+// implementation.
 
 #include <algorithm>
 #include <cstring>
@@ -19,7 +21,9 @@
 #include "core/range_validity.h"
 #include "core/server.h"
 #include "core/window_validity.h"
+#include "partition/partitioned_server.h"
 #include "rtree/knn.h"
+#include "storage/page_manager.h"
 #include "tp/tpnn.h"
 
 namespace {
@@ -167,6 +171,48 @@ void BM_RangeValidityQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RangeValidityQuery)->Apply(MinOfRounds);
+
+// Index builds at servebench's scale: 200k uniform points, in memory.
+// Each round copies the entries outside the timed region.
+constexpr size_t kBuildPoints = 200000;
+
+const workload::Dataset& BuildData() {
+  static const workload::Dataset data =
+      workload::MakeUnitUniform(kBuildPoints, 4242);
+  return data;
+}
+
+// One STR bulk load into a fresh tree with a 256-frame buffer.
+void BM_BulkLoad(benchmark::State& state) {
+  const workload::Dataset& data = BuildData();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<rtree::DataEntry> entries = data.entries;
+    state.ResumeTiming();
+    storage::PageManager pages;
+    rtree::RTree tree(&pages, 256);
+    tree.BulkLoad(std::move(entries));
+    benchmark::DoNotOptimize(tree.meta());
+  }
+}
+BENCHMARK(BM_BulkLoad)->Unit(benchmark::kMillisecond)->Apply(MinOfRounds);
+
+// A K=4 PartitionedServer: the partition layout, the per-fragment
+// buckets and four bulk loads (servebench's churn_sharded set-up).
+void BM_PartitionedServerBuild(benchmark::State& state) {
+  const workload::Dataset& data = BuildData();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<rtree::DataEntry> entries = data.entries;
+    state.ResumeTiming();
+    partition::PartitionedServer server(std::move(entries), data.universe,
+                                        partition::PartitionedServerOptions{});
+    benchmark::DoNotOptimize(&server);
+  }
+}
+BENCHMARK(BM_PartitionedServerBuild)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(MinOfRounds);
 
 // Cost of a semantic-cache hit on the wire-serving path: one grid-cell
 // scan plus a handful of bisector tests plus the byte copy. Compare

@@ -9,9 +9,14 @@ namespace lbsq::core {
 
 namespace {
 
-// Candidates fetched by Knn (at least k), and the widening cap.
+// Candidates fetched by Knn (at least k), and the widening cap for a
+// query with `answers` answers: at least twice the answers, so even the
+// largest k leaves room for one widening.
 constexpr size_t kFirstFetch = 64;
-constexpr size_t kMaxCandidates = 1024;
+
+size_t MaxCandidates(size_t answers) {
+  return std::max<size_t>(1024, 2 * answers);
+}
 
 // Relative slack on the admissible stop, so rounding in the computed
 // influence times can never turn a bound into a wrong answer.
@@ -123,7 +128,7 @@ LocalTpBackend::Verdict LocalTpBackend::Decide(const Scan& scan,
     ++stats_.never_fallbacks;
     return Verdict::kDefer;
   }
-  if (candidates_.size() >= kMaxCandidates) {
+  if (candidates_.size() >= MaxCandidates(answers)) {
     ++stats_.cap_fallbacks;
     return Verdict::kDefer;
   }
@@ -147,7 +152,7 @@ tp::TpnnResult LocalTpBackend::Tpnn(const geo::Point& q, const geo::Vec2& l,
         return r;
       }
       case Verdict::kWiden:
-        Fetch(std::min(2 * candidates_.size(), kMaxCandidates));
+        Fetch(std::min(2 * candidates_.size(), MaxCandidates(1)));
         continue;
       case Verdict::kDefer:
         return inner_->Tpnn(q, l, o, o_id);
@@ -186,7 +191,7 @@ tp::TpknnResult LocalTpBackend::Tpknn(
         return r;
       }
       case Verdict::kWiden:
-        Fetch(std::min(2 * candidates_.size(), kMaxCandidates));
+        Fetch(std::min(2 * candidates_.size(), MaxCandidates(k)));
         continue;
       case Verdict::kDefer:
         return inner_->Tpknn(q, l, answers);

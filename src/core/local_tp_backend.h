@@ -31,7 +31,7 @@
 //     unheld object can improve on or tie it, and the scan's answer is
 //     the tree's.
 //   * Otherwise the candidate set is widened (Knn with twice as many) up
-//     to 1024, and beyond that the query is deferred to the inner
+//     to max(1024, 2k), and beyond that the query is deferred to the inner
 //     backend. It is also deferred when two candidates tie exactly on the
 //     best time (the tree's tie outcome can depend on its traversal
 //     order), when no held object ever influences (widening rarely finds

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -9,25 +10,32 @@ namespace lbsq::partition {
 
 namespace {
 
-// Positions of the K-1 interior boundaries for splitting `values`
-// (sorted ascending) into `parts` equal-cardinality runs: boundary j is
-// the value opening run j+1, so the half-open "value >= boundary goes
-// right" routing reproduces the split. Falls back to an even geometric
-// split of [lo, hi] when there are no values to derive from.
-std::vector<double> SplitBounds(const std::vector<double>& values,
-                                size_t parts, double lo, double hi) {
+// Interior boundaries that split `values` into runs holding shares
+// cum[j] / total of them: boundary j is the value the sorted order puts
+// at n * cum[j] / total, so the half-open "value >= boundary goes right"
+// routing reproduces the split. `cum` ascends. Each order statistic comes
+// from std::nth_element over what the previous one left above it, so
+// `values` is reordered but never fully sorted. Falls back to an even
+// geometric split of [lo, hi] when there are no values to derive from.
+std::vector<double> QuantileBounds(std::vector<double>* values,
+                                   const std::vector<size_t>& cum,
+                                   size_t total, double lo, double hi) {
   std::vector<double> bounds;
-  bounds.reserve(parts - 1);
-  const size_t n = values.size();
-  for (size_t j = 1; j < parts; ++j) {
+  bounds.reserve(cum.size());
+  const size_t n = values->size();
+  size_t done = 0;
+  for (const size_t c : cum) {
     if (n == 0) {
-      bounds.push_back(lo + (hi - lo) * static_cast<double>(j) /
-                                static_cast<double>(parts));
-    } else {
-      size_t cut = n * j / parts;
-      if (cut >= n) cut = n - 1;
-      bounds.push_back(values[cut]);
+      bounds.push_back(lo + (hi - lo) * static_cast<double>(c) /
+                                static_cast<double>(total));
+      continue;
     }
+    const size_t cut = std::min(n * c / total, n - 1);
+    std::nth_element(values->begin() + static_cast<ptrdiff_t>(done),
+                     values->begin() + static_cast<ptrdiff_t>(cut),
+                     values->end());
+    done = cut;
+    bounds.push_back((*values)[cut]);
   }
   return bounds;
 }
@@ -47,28 +55,17 @@ PartitionLayout::PartitionLayout(const std::vector<rtree::DataEntry>& entries,
   std::vector<size_t> bands_per_slab(slabs, fragments / slabs);
   for (size_t s = 0; s < fragments % slabs; ++s) ++bands_per_slab[s];
 
-  // Slab x boundaries: split the x-sorted coordinates so each slab's
-  // share of the data is proportional to its band count.
+  // Slab x boundaries: split the x coordinates so each slab's share of
+  // the data is proportional to its band count.
   std::vector<double> xs;
   xs.reserve(entries.size());
   for (const rtree::DataEntry& e : entries) xs.push_back(e.point.x);
-  std::sort(xs.begin(), xs.end());
-  const size_t n = xs.size();
-  slab_bounds_.reserve(slabs - 1);
-  size_t cum_bands = 0;
-  for (size_t s = 0; s + 1 < slabs; ++s) {
-    cum_bands += bands_per_slab[s];
-    if (n == 0) {
-      slab_bounds_.push_back(universe.min_x +
-                             (universe.max_x - universe.min_x) *
-                                 static_cast<double>(cum_bands) /
-                                 static_cast<double>(fragments));
-    } else {
-      size_t cut = n * cum_bands / fragments;
-      if (cut >= n) cut = n - 1;
-      slab_bounds_.push_back(xs[cut]);
-    }
-  }
+  std::vector<size_t> cum_bands(slabs - 1);
+  std::partial_sum(bands_per_slab.begin(), bands_per_slab.end() - 1,
+                   cum_bands.begin());
+  slab_bounds_ = QuantileBounds(&xs, cum_bands, fragments, universe.min_x,
+                                universe.max_x);
+  xs = {};  // freed before the slabs' y coordinates are gathered
 
   // Band y boundaries within each slab, derived from the entries the
   // slab actually routes (the >= rule), so assignment and boundaries
@@ -85,9 +82,10 @@ PartitionLayout::PartitionLayout(const std::vector<rtree::DataEntry>& entries,
     for (const rtree::DataEntry& e : entries) {
       if (SlabOf(e.point.x) == s) ys.push_back(e.point.y);
     }
-    std::sort(ys.begin(), ys.end());
-    band_bounds_[s] =
-        SplitBounds(ys, bands_per_slab[s], universe.min_y, universe.max_y);
+    std::vector<size_t> cum;
+    for (size_t b = 1; b < bands_per_slab[s]; ++b) cum.push_back(b);
+    band_bounds_[s] = QuantileBounds(&ys, cum, bands_per_slab[s],
+                                     universe.min_y, universe.max_y);
 
     // Ownership rectangles for this slab's bands.
     for (size_t b = 0; b < bands_per_slab[s]; ++b) {
@@ -131,7 +129,11 @@ bool PartitionLayout::StrictlyOwns(size_t fragment, const geo::Rect& r) const {
 std::vector<std::vector<rtree::DataEntry>> PartitionEntries(
     const PartitionLayout& layout,
     const std::vector<rtree::DataEntry>& entries) {
+  // Size every bucket first, so none grows by reallocation.
+  std::vector<size_t> counts(layout.num_fragments(), 0);
+  for (const rtree::DataEntry& e : entries) ++counts[layout.OwnerOf(e.point)];
   std::vector<std::vector<rtree::DataEntry>> buckets(layout.num_fragments());
+  for (size_t f = 0; f < buckets.size(); ++f) buckets[f].reserve(counts[f]);
   for (const rtree::DataEntry& e : entries) {
     buckets[layout.OwnerOf(e.point)].push_back(e);
   }

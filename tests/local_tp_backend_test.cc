@@ -190,6 +190,17 @@ TEST(LocalTpBackendTest, RaysMatchAtMaxRequestKAndOnTinyTrees) {
   }
 }
 
+// At the largest k the wire admits, the first fetch already holds 1024
+// candidates. The cap of 2k leaves room to widen past it, so no ray
+// falls back at the cap.
+TEST(LocalTpBackendTest, MaxRequestKWidensPastTheFirstFetch) {
+  Inner inner(Uniform(20000, 53), 1);
+  const LocalTpBackend::Stats stats =
+      CheckRays(inner.get(), net::kMaxRequestK, 4, 59);
+  EXPECT_EQ(stats.cap_fallbacks, 0u);
+  EXPECT_GT(stats.local_answers, stats.fallbacks());
+}
+
 void ExpectSameResult(const core::NnValidityResult& got,
                       const core::NnValidityResult& want) {
   ASSERT_EQ(got.answers().size(), want.answers().size());

@@ -16,6 +16,8 @@ in the baseline file:
   server_nn_miss_1     same band shape for a k=1 NN cache miss through
                        core::Server (BM_ServerNnMiss/1, step (ii) from
                        the query's own nearest neighbours)
+  bulk_load            same band shape for one STR bulk load of 200k
+                       uniform points (BM_BulkLoad, radix-sorted keys)
   net_cache_qps        the loadgen's cache-on end-to-end q/s must stay
                        above value * min_ratio
   server_qps           core::Server's serial q/s on throughput's mixed
@@ -60,12 +62,15 @@ def main():
     with open(f"{art_dir}/BENCH_micro.json") as f:
         micro = json.load(f)
 
+    ns_per_unit = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
+
     def micro_min(prefix):
         result = None
         for b in micro["benchmarks"]:
             if (b["name"].startswith(prefix)
                     and b.get("aggregate_name") == "min"):
-                result = b["real_time"]
+                result = b["real_time"] * ns_per_unit[b.get("time_unit",
+                                                             "ns")]
         return result
 
     def check_micro(label, prefix):
@@ -80,6 +85,7 @@ def main():
     check_micro("window_validity_query", "BM_WindowValidityQuery/")
     check_micro("range_validity_query", "BM_RangeValidityQuery/")
     check_micro("server_nn_miss_1", "BM_ServerNnMiss/1/")
+    check_micro("bulk_load", "BM_BulkLoad/")
 
     with open(f"{art_dir}/BENCH_net_loadgen.json") as f:
         loadgen = json.load(f)

@@ -26,7 +26,8 @@
 #           themselves are not gated here — a smoke box is too noisy
 #           for thresholds)
 #   bench-gate   micro BM_KnnBestFirst/100 + the window/range validity
-#           engine micros + the server's k=1 NN miss, churn, a quarter-scale
+#           engine micros + the server's k=1 NN miss + the STR bulk
+#           load, churn, a quarter-scale
 #           net_loadgen and a quarter-scale throughput (core::Server's
 #           serial q/s) compared against bench/baseline.json via
 #           tools/bench_gate.py; the baseline's bands are generous
@@ -156,7 +157,7 @@ stage_bench_gate() {
   dir="$(mktemp -d)" || return 1
   local ok=0
   LBSQ_BENCH_DIR="$dir" "$ROOT/build/bench/micro" \
-    '--benchmark_filter=BM_KnnBestFirst/100/|BM_WindowValidityQuery|BM_RangeValidityQuery|BM_ServerNnMiss/1/' \
+    '--benchmark_filter=BM_KnnBestFirst/100/|BM_WindowValidityQuery|BM_RangeValidityQuery|BM_ServerNnMiss/1/|BM_BulkLoad/' \
     >/dev/null &&
     LBSQ_BENCH_DIR="$dir" LBSQ_ROUNDS=1 "$ROOT/build/bench/churn" \
       >/dev/null &&
